@@ -46,8 +46,9 @@ END_TO_END_HELP = {
     "setup_s": "one import of chaincell plus the median of 3 set-ups "
     "(build the seeded inputs and their answer key, run one item)",
     "batch_s": "wall time of the workload's fixed batch: the sum over its items of each "
-    "item's best time over the runs in --seconds",
-    "item_ms.p50": "median over the batch's items of each item's best wall time",
+    "item's median time over the runs in --seconds",
+    "item_ms.p50": "median over the batch's items of each item's median wall time, "
+    "as the Harrell-Davis estimate",
     "peak_rss_mb": "peak resident memory of the benchmark process or of its largest CLI child",
     "ok_frac": "share of attempted items that neither raised, answered wrongly, "
     "nor exited with an unexpected code (1 - fail share)",
@@ -140,19 +141,42 @@ class Tally:
 
 def repeat_for(seconds, fn):
     """Call fn at least once, and again while another call of the last one's
-    length would end less than half a call past `seconds`; return its results."""
+    length would end within `seconds`; return its results."""
     out = []
     deadline = clock() + seconds
     while True:
         t0 = clock()
         out.append(fn())
-        if clock() + (clock() - t0) / 2 >= deadline:
+        if 2 * clock() - t0 > deadline:
             return out
 
 
+def item_medians(tally):
+    """Each item's median wall ms over its runs."""
+    return [statistics.median(ms) for ms in tally.item_ms.values()]
+
+
+def hd_median(values):
+    """Harrell-Davis estimate of the median: a mean of the order statistics
+    weighted by the Beta((n+1)/2, (n+1)/2) mass on their ranks.  Unlike the
+    middle value it does not jump across a gap between neighbouring items."""
+    xs = sorted(values)
+    n = len(xs)
+    a = (n + 1) / 2
+    log_norm = math.lgamma(2 * a) - 2 * math.lgamma(a)
+
+    def mass(lo, hi, steps=64):  # midpoint rule, so log(0) never occurs
+        h = (hi - lo) / steps
+        return h * sum(math.exp(log_norm + (a - 1) * (math.log(x) + math.log1p(-x)))
+                       for x in (lo + (k + 0.5) * h for k in range(steps)))
+
+    weights = [mass(i / n, (i + 1) / n) for i in range(n)]
+    return sum(w * x for w, x in zip(weights, xs)) / sum(weights)
+
+
 def batch_s(tally):
-    """The batch's time from the best run of each of its items."""
-    return sum(min(ms) for ms in tally.item_ms.values()) / 1e3
+    """The batch's time from the median run of each of its items."""
+    return sum(item_medians(tally)) / 1e3
 
 
 def tail(values):
@@ -247,7 +271,7 @@ def timed_run(args, items, tally, setup_s):
     metrics = {
         "setup_s": setup_s,
         "batch_s": batch_s(tally),
-        "item_ms.p50": statistics.median(min(ms) for ms in tally.item_ms.values()),
+        "item_ms.p50": hd_median(item_medians(tally)),
         "peak_rss_mb": max(resource.getrusage(who).ru_maxrss
                            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024,
         "ok_frac": (n - tally.failed) / n,
@@ -256,6 +280,8 @@ def timed_run(args, items, tally, setup_s):
     details = {
         "batches": len(batches),
         "batch_s_median": statistics.median(batches),
+        "item_ms_middle_item": statistics.median(item_medians(tally)),
+        "batch_s_best_items": sum(min(ms) for ms in tally.item_ms.values()) / 1e3,
         "item_ms_median_of_all_runs": statistics.median(samples),
         "item_ms_tail": tail(samples),
     }
