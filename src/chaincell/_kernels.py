@@ -43,10 +43,6 @@ def enc_neg(x, p, flavor):
     return (-x) % p + p * ((-(x // p)) % p)
 
 
-def enc_sub(x, y, p, flavor):
-    return enc_add(x, enc_neg(np.asarray(y), p, flavor), p, flavor)
-
-
 def enc_mul(x, y, p, flavor):
     if flavor == FLAVOR_ZPSQ:
         return (x * y) % (p * p)
@@ -91,9 +87,20 @@ def _mat_mul_many_left_numpy(As, B, p, flavor):
     return ca + p * cb
 
 
-def _rank_mod_numpy(M, p):
+def echelon_mod(M, p):
+    """Gauss-Jordan elimination over F_p, pivoting column by column.
+
+    Returns ``(rank, pivot_rows, pivot_cols, reduced)``: the k-th pivot
+    sits at original row ``pivot_rows[k]`` and column ``pivot_cols[k]``
+    (columns ascending), and ``reduced`` is the reduced row echelon form
+    with the pivot rows first, in pivot order.  The pivot rows only ever
+    absorb multiples of earlier pivot rows, so ``M[pivot_rows][:,
+    pivot_cols]`` is invertible mod p.
+    """
     A = np.ascontiguousarray(M % p, dtype=np.int64).copy()
     rows, cols = A.shape
+    order = list(range(rows))
+    pivot_cols = []
     r = 0
     for c in range(cols):
         if r == rows:
@@ -104,13 +111,19 @@ def _rank_mod_numpy(M, p):
         piv = r + int(nz[0])
         if piv != r:
             A[[r, piv]] = A[[piv, r]]
+            order[r], order[piv] = order[piv], order[r]
         inv = pow(int(A[r, c]), -1, p)
         A[r] = (A[r] * inv) % p
         col = A[:, c].copy()
         col[r] = 0
         A = (A - np.outer(col, A[r])) % p
+        pivot_cols.append(c)
         r += 1
-    return r
+    return r, np.array(order[:r], dtype=np.intp), np.array(pivot_cols, dtype=np.intp), A
+
+
+def _rank_mod_numpy(M, p):
+    return echelon_mod(M, p)[0]
 
 
 _NUMPY_IMPLS = {

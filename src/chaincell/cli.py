@@ -312,7 +312,7 @@ def run(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

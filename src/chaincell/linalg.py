@@ -106,9 +106,6 @@ def identity(ring: RingSpec, n: int) -> MatrixR:
     return MatrixR(ring, np.eye(n, dtype=np.int64))
 
 
-def scalar_matrix(x: RingElement, n: int) -> MatrixR:
-    return MatrixR(x.ring, np.eye(n, dtype=np.int64) * x.encoded)
-
 def from_pairs(ring: RingSpec, rows, shape: Optional[tuple] = None) -> MatrixR:
     """Build from rows of [a, b] pairs; shape disambiguates empty matrices."""
     if shape is None:
@@ -161,21 +158,8 @@ def matmul_k(A: MatrixK, B: MatrixK) -> MatrixK:
     return MatrixK(A.p, (A.data @ B.data) % A.p)
 
 
-def add(A: MatrixR, B: MatrixR) -> MatrixR:
-    _same_ring(A, B)
-    if A.data.shape != B.data.shape:
-        raise UsageError("shape mismatch in add")
-    return MatrixR(A.ring, enc_add(A.data, B.data, A.ring.p, A.ring.flavor_code))
-
-
 def neg(A: MatrixR) -> MatrixR:
     return MatrixR(A.ring, enc_neg(A.data, A.ring.p, A.ring.flavor_code))
-
-
-def scale(x: RingElement, A: MatrixR) -> MatrixR:
-    if x.ring != A.ring:
-        raise UsageError("ring mismatch in scale")
-    return MatrixR(A.ring, enc_mul(np.int64(x.encoded), A.data, A.ring.p, A.ring.flavor_code))
 
 
 def kron(A: MatrixR, B: MatrixR) -> MatrixR:
@@ -218,44 +202,35 @@ def is_invertible(P: MatrixR) -> bool:
 
 
 def inverse_matrix(A: MatrixR) -> MatrixR:
-    """Inverse of an invertible square matrix over R.
+    """Inverse of an invertible square matrix over R."""
+    if not is_invertible(A):
+        raise UsageError("matrix is not invertible")
+    return MatrixR(A.ring, inverse_encoded(A.data, A.ring.p, A.ring.flavor_code))
+
+
+def inverse_encoded(A: np.ndarray, p: int, flavor: int) -> np.ndarray:
+    """Inverse of an encoded square matrix whose residue is invertible.
 
     Lift the residue-field inverse, then one correction step: with
     A*X0 = I - E and E entries in m, E*E = 0, so X0*(2I - A*X0) is exact.
     """
-    if not is_invertible(A):
-        raise UsageError("matrix is not invertible")
-    p, fl = A.ring.p, A.ring.flavor_code
-    x0 = _inverse_mod_p(A.data % p, p)
-    ax0 = _kernels.mat_mul(A.data, x0, p, fl)
-    two = int(enc_add(np.int64(1), np.int64(1), p, fl))
-    two_i = np.eye(A.rows, dtype=np.int64) * two
-    diff = enc_add(two_i, enc_neg(ax0, p, fl), p, fl)
-    out = _kernels.mat_mul(x0, diff, p, fl)
-    return MatrixR(A.ring, out)
+    x0 = _inverse_mod_p(A % p, p)
+    ax0 = _kernels.mat_mul(A, x0, p, flavor)
+    two = int(enc_add(np.int64(1), np.int64(1), p, flavor))
+    two_i = np.eye(A.shape[0], dtype=np.int64) * two
+    diff = enc_add(two_i, enc_neg(ax0, p, flavor), p, flavor)
+    return _kernels.mat_mul(x0, diff, p, flavor)
 
 
 def _inverse_mod_p(M: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix over F_p by Gauss-Jordan."""
+    """Inverse over F_p: the elimination of [M | I] ends in [I | M^-1]."""
     n = M.shape[0]
-    A = (M % p).astype(np.int64).copy()
-    inv = np.eye(n, dtype=np.int64)
-    for c in range(n):
-        nz = np.nonzero(A[c:, c])[0]
-        if nz.size == 0:
-            raise UsageError("residue matrix is singular")
-        piv = c + int(nz[0])
-        if piv != c:
-            A[[c, piv]] = A[[piv, c]]
-            inv[[c, piv]] = inv[[piv, c]]
-        f = pow(int(A[c, c]), -1, p)
-        A[c] = (A[c] * f) % p
-        inv[c] = (inv[c] * f) % p
-        col = A[:, c].copy()
-        col[c] = 0
-        A = (A - np.outer(col, A[c])) % p
-        inv = (inv - np.outer(col, inv[c])) % p
-    return inv
+    _, _, pivot_cols, reduced = _kernels.echelon_mod(
+        np.hstack([M, np.eye(n, dtype=np.int64)]), p
+    )
+    if n and pivot_cols[-1] >= n:
+        raise UsageError("residue matrix is singular")
+    return reduced[:, n:]
 
 
 # ---------------------------------------------------------------------------

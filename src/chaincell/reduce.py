@@ -1,15 +1,18 @@
 """Splitting a perfect complex into contractible disks plus intervals.
 
-``minimize`` repeatedly pivots on unit differential entries: each unit
-witnesses an embedded disk, which splits off after clearing its row and
-column with invertible operations.  What remains is minimal (all
-differential entries in the maximal ideal) and decomposes into interval
-summands; ``barcode`` counts them through the composite-rank table
-rho(a, b) = rank over k of B_{a+1} ... B_b, where d = r*B on a minimal
-complex.  A summand spanning degrees [i, i+j] contributes one to
-rho(a, b) exactly when i <= a <= b <= i+j, so inclusion-exclusion on
-rho recovers the multiplicities, an exact count equivalent to peeling
-off one lowest interval summand at a time.
+``minimize`` sweeps the degrees once, lowest first.  In each degree the
+F_p row echelon of the residue of the live differential finds a unit
+block P, one pivot per embedded disk; the Gaussian elimination lemma
+(Bar-Natan, "Fast Khovanov homology computations", 2007, Lemma 4.2)
+splits all of them off in one invertible block change and leaves the
+Schur complement T - S*P^-1*Q, whose residue is zero.  What remains is
+minimal (all differential entries in the maximal ideal) and decomposes
+into interval summands; ``barcode`` counts them through the
+composite-rank table rho(a, b) = rank over k of B_{a+1} ... B_b, where
+d = r*B on a minimal complex.  A summand spanning degrees [i, i+j]
+contributes one to rho(a, b) exactly when i <= a <= b <= i+j, so
+inclusion-exclusion on rho recovers the multiplicities, an exact count
+equivalent to peeling off one lowest interval summand at a time.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from ._kernels import enc_add, enc_mul, enc_neg
+from ._kernels import echelon_mod, enc_add, enc_neg, mat_mul
 from .complexes import ChainComplex, disk, interval, make_complex, require_valid
 from .errors import ChaincellError, UsageError
-from .linalg import MatrixR
+from .linalg import MatrixR, inverse_encoded
 from .ops import direct_sum_all
 from .ring import RingSpec
 
@@ -50,148 +53,86 @@ class Decomposition:
         return sorted(self.disks.elements())
 
 
-class _Workspace:
-    """Mutable differentials plus accumulated basis changes per degree.
-
-    Invariant: W[n] == Uinv[n-1] @ d_n(original) @ U[n] throughout.
-    """
-
-    def __init__(self, X: ChainComplex):
-        self.ring = X.ring
-        self.p = X.ring.p
-        self.fl = X.ring.flavor_code
-        self.n_degrees = len(X.ranks)
-        self.W = [None] + [X.d(n).data.copy() for n in range(1, self.n_degrees)]
-        self.U = [np.eye(r, dtype=np.int64) for r in X.ranks]
-        self.Uinv = [np.eye(r, dtype=np.int64) for r in X.ranks]
-        self.live = [list(range(r)) for r in X.ranks]
-
-    # -- encoded helpers ----------------------------------------------------
-    def _mul(self, c, arr):
-        return enc_mul(np.int64(c), arr, self.p, self.fl)
-
-    def _addmul(self, dst, c, src):
-        return enc_add(dst, self._mul(c, src), self.p, self.fl)
-
-    def _neg(self, c):
-        return int(enc_neg(np.int64(c), self.p, self.fl))
-
-    def _inv(self, c):
-        return self.ring.from_encoded(int(c)).inverse().encoded
-
-    # -- elementary basis changes -------------------------------------------
-    def scale_basis(self, n, j, u):
-        """Scale basis vector j of degree n by the unit u (column op on W[n])."""
-        uinv = self._inv(u)
-        if n >= 1:
-            self.W[n][:, j] = self._mul(u, self.W[n][:, j])
-        self.U[n][:, j] = self._mul(u, self.U[n][:, j])
-        self.Uinv[n][j, :] = self._mul(uinv, self.Uinv[n][j, :])
-        if n + 1 < self.n_degrees:
-            self.W[n + 1][j, :] = self._mul(uinv, self.W[n + 1][j, :])
-
-    def col_addmul(self, n, dst, src, c):
-        """Basis change e_dst += c * e_src in degree n (column op on W[n])."""
-        neg_c = self._neg(c)
-        if n >= 1:
-            self.W[n][:, dst] = self._addmul(self.W[n][:, dst], c, self.W[n][:, src])
-        self.U[n][:, dst] = self._addmul(self.U[n][:, dst], c, self.U[n][:, src])
-        self.Uinv[n][src, :] = self._addmul(self.Uinv[n][src, :], neg_c, self.Uinv[n][dst, :])
-        if n + 1 < self.n_degrees:
-            self.W[n + 1][src, :] = self._addmul(
-                self.W[n + 1][src, :], neg_c, self.W[n + 1][dst, :]
-            )
-
-    def row_addmul(self, n, dst, src, c):
-        """Row op on W[n]: row dst += c * row src; changes the degree n-1 basis."""
-        m = n - 1
-        neg_c = self._neg(c)
-        self.W[n][dst, :] = self._addmul(self.W[n][dst, :], c, self.W[n][src, :])
-        self.Uinv[m][dst, :] = self._addmul(self.Uinv[m][dst, :], c, self.Uinv[m][src, :])
-        self.U[m][:, src] = self._addmul(self.U[m][:, src], neg_c, self.U[m][:, dst])
-        if m >= 1:
-            self.W[m][:, src] = self._addmul(self.W[m][:, src], neg_c, self.W[m][:, dst])
-
-    # -- pivoting -------------------------------------------------------------
-    def find_live_unit(self, n):
-        """First unit entry of W[n] in live-row-major order."""
-        W = self.W[n]
-        for i in self.live[n - 1]:
-            for j in self.live[n]:
-                if W[i, j] % self.p:
-                    return i, j
-        return None
-
-    def split_disk(self, n, i, j):
-        """Clear pivot (i, j) of W[n] and retire the resulting disk pair."""
-        W = self.W[n]
-        u = int(W[i, j])
-        self.scale_basis(n, j, self._inv(u))
-        for jj in self.live[n]:
-            if jj != j and W[i, jj]:
-                self.col_addmul(n, jj, j, self._neg(int(W[i, jj])))
-        for ii in self.live[n - 1]:
-            if ii != i and W[ii, j]:
-                self.row_addmul(n, ii, i, self._neg(int(W[ii, j])))
-        if np.any(np.delete(W[i, :], j)) or np.any(np.delete(W[:, j], i)):
-            raise ChaincellError("pivot clearing left residue; d*d != 0?")
-        if n + 1 < self.n_degrees and np.any(self.W[n + 1][j, :]):
-            raise ChaincellError("split disk has an incoming differential")
-        if n >= 2 and np.any(self.W[n - 1][:, i]):
-            raise ChaincellError("split disk has an outgoing differential")
-        self.live[n].remove(j)
-        self.live[n - 1].remove(i)
+def _complement(idx, size):
+    keep = np.ones(size, dtype=bool)
+    keep[idx] = False
+    return np.flatnonzero(keep)
 
 
 def minimize(X: ChainComplex) -> MinimizeResult:
     """Split off every embedded disk; returns the minimal part plus witnesses.
 
-    Pivot order is fixed (lowest degree, then row-major) so the
-    certificates are reproducible.  Each split removes one basis vector
-    from two adjacent degrees, so the loop terminates.
+    One block step per degree, lowest first, with pivots from the F_p
+    row echelon of the residue (so the certificates are reproducible).
+    A step touches only the pivot rows and columns of the neighbouring
+    differentials, which vanish there, so one sweep leaves every
+    differential minimal.
     """
     require_valid(X)
-    ws = _Workspace(X)
-    pairs = []  # (degree, bottom index, top index) in retirement order
-    while True:
-        hit = None
-        for n in range(1, ws.n_degrees):
-            found = ws.find_live_unit(n)
-            if found is not None:
-                hit = (n, found)
-                break
-        if hit is None:
-            break
-        n, (i, j) = hit
-        ws.split_disk(n, i, j)
-        pairs.append((n, i, j))
+    p, fl = X.ring.p, X.ring.flavor_code
+    n_degrees = len(X.ranks)
+    # live differentials, and per degree the live columns of U and rows of
+    # Uinv; invariant: W[n] == Uinv[n-1] @ d_n(original) @ U[n] on live parts
+    W = [None] + [X.d(n).data for n in range(1, n_degrees)]
+    U = [np.eye(r, dtype=np.int64) for r in X.ranks]
+    Uinv = [np.eye(r, dtype=np.int64) for r in X.ranks]
+    # retired basis per degree: disk tops (split at n) then disk bottoms (at n+1)
+    U_disk = [[] for _ in range(n_degrees)]
+    Uinv_disk = [[] for _ in range(n_degrees)]
+    disks = []
+    for n in range(1, n_degrees):
+        D = W[n]
+        if not np.any(D % p):
+            continue
+        s, I, J, _ = echelon_mod(D, p)
+        Ic, Jc = _complement(I, D.shape[0]), _complement(J, D.shape[1])
+        # D = [[P, Q], [S, T]] in (I, Ic) x (J, Jc) order.  The column change
+        # C = [[P^-1, -P^-1 Q], [0, 1]] on degree n and the row change
+        # R = [[1, 0], [-S P^-1, 1]] on degree n-1 give
+        # R D C = [[1, 0], [0, T - S P^-1 Q]]
+        D_I, D_Ic = D[I], D[Ic]
+        P_inv = inverse_encoded(D_I[:, J], p, fl)
+        Q = D_I[:, Jc]
+        SP_inv = mat_mul(D_Ic[:, J], P_inv, p, fl)
+        neg_SP_inv = enc_neg(SP_inv, p, fl)
+        W[n] = enc_add(D_Ic[:, Jc], mat_mul(neg_SP_inv, Q, p, fl), p, fl)
+        if np.any(W[n] % p):
+            raise ChaincellError(f"Schur complement in d{n} has a unit entry")
+        if n + 1 < n_degrees:
+            if np.any(mat_mul(D_I, W[n + 1], p, fl)):  # J rows of C^-1 W[n+1]
+                raise ChaincellError("split disk has an incoming differential")
+            W[n + 1] = W[n + 1][Jc]
+        if n >= 2:
+            prev = W[n - 1]
+            out = enc_add(prev[:, I], mat_mul(prev[:, Ic], SP_inv, p, fl), p, fl)
+            if np.any(out):  # I columns of W[n-1] R^-1
+                raise ChaincellError("split disk has an outgoing differential")
+            W[n - 1] = prev[:, Ic]
+        # degree n: U <- U C, Uinv <- C^-1 Uinv
+        U_P_inv = mat_mul(U[n][:, J], P_inv, p, fl)
+        U_disk[n].append(U_P_inv)
+        Uinv_disk[n].append(mat_mul(D_I, Uinv[n], p, fl))
+        U[n] = enc_add(U[n][:, Jc], enc_neg(mat_mul(U_P_inv, Q, p, fl), p, fl), p, fl)
+        Uinv[n] = Uinv[n][Jc]
+        # degree n-1: U <- U R^-1, Uinv <- R Uinv
+        m = n - 1
+        U_disk[m].append(enc_add(U[m][:, I], mat_mul(U[m][:, Ic], SP_inv, p, fl), p, fl))
+        Uinv_disk[m].append(Uinv[m][I])
+        Uinv[m] = enc_add(Uinv[m][Ic], mat_mul(neg_SP_inv, Uinv[m][I], p, fl), p, fl)
+        U[m] = U[m][:, Ic]
+        disks += [n] * s
 
-    pairs.sort(key=lambda t: t[0])  # certificate layout uses ascending disks
-    m_ranks = [len(ws.live[n]) for n in range(ws.n_degrees)]
-    m_diffs = [
-        MatrixR(X.ring, ws.W[n][np.ix_(ws.live[n - 1], ws.live[n])])
-        for n in range(1, ws.n_degrees)
-    ]
+    m_ranks = [U[m].shape[1] for m in range(n_degrees)]
+    m_diffs = [MatrixR(X.ring, W[n]) for n in range(1, n_degrees)]
     minimal = make_complex(X.ring, m_ranks, m_diffs, check=False)
-
-    certificates = []
-    for m in range(ws.n_degrees):
-        order = list(ws.live[m])
-        for n, i, j in pairs:
-            if n == m:
-                order.append(j)
-            elif n == m + 1:
-                order.append(i)
-        perm = np.zeros((X.ranks[m], X.ranks[m]), dtype=np.int64)
-        for newpos, old in enumerate(order):
-            perm[old, newpos] = 1
-        certificates.append(
-            (
-                MatrixR(X.ring, ws.U[m] @ perm),
-                MatrixR(X.ring, perm.T @ ws.Uinv[m]),
-            )
+    certificates = [
+        (
+            MatrixR(X.ring, np.hstack([U[m]] + U_disk[m])),
+            MatrixR(X.ring, np.vstack([Uinv[m]] + Uinv_disk[m])),
         )
-    return MinimizeResult(minimal, tuple(n for n, _, _ in pairs), certificates)
+        for m in range(n_degrees)
+    ]
+    return MinimizeResult(minimal, tuple(disks), certificates)
 
 
 def verify_certificates(X: ChainComplex, result: MinimizeResult) -> bool:
@@ -260,11 +201,14 @@ def rho_table(M: ChainComplex) -> dict:
 
 def barcode(M: ChainComplex) -> Counter:
     """Interval multiplicities of a minimal complex by inclusion-exclusion."""
-    table = rho_table(M)
+    return _barcode_from_table(rho_table(M), len(M.ranks))
+
+
+def _barcode_from_table(table: dict, n_degrees: int) -> Counter:
     rho = lambda a, b: table.get((a, b), 0)
     out = Counter()
-    for a in range(len(M.ranks)):
-        for b in range(a, len(M.ranks)):
+    for a in range(n_degrees):
+        for b in range(a, n_degrees):
             mult = rho(a, b) - rho(a - 1, b) - rho(a, b + 1) + rho(a - 1, b + 1)
             if mult < 0:
                 raise ChaincellError(
@@ -284,7 +228,8 @@ def decompose(X: ChainComplex) -> Decomposition:
     """
     require_valid(X)
     mr = minimize(X)
-    intervals = barcode(mr.minimal)
+    table = rho_table(mr.minimal)
+    intervals = _barcode_from_table(table, len(mr.minimal.ranks))
     dec = Decomposition(intervals, Counter(mr.disks), mr.certificates, mr.minimal)
 
     for n in range(len(X.ranks)):
@@ -298,7 +243,7 @@ def decompose(X: ChainComplex) -> Decomposition:
     rebuilt_min = direct_sum_all(
         X.ring, [interval(X.ring, i, j) for i, j in dec.interval_list()]
     )
-    if rho_table(rebuilt_min) != rho_table(mr.minimal):
+    if rho_table(rebuilt_min) != table:
         raise ChaincellError("reconstruction differs from input in its rho table")
     return dec
 

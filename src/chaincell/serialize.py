@@ -36,6 +36,11 @@ def complex_to_dict(X: ChainComplex) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    """JSON integers only: Python parses true/false as bools, a subclass of int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parse_matrix(ring: RingSpec, rows, expected_shape, force: bool):
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise InvalidComplexError("differential must be a list of rows")
@@ -53,7 +58,7 @@ def _parse_matrix(ring: RingSpec, rows, expected_shape, force: bool):
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(v, int) for v in pair)
+                or not all(_is_int(v) for v in pair)
             ):
                 raise InvalidComplexError(f"bad entry {pair!r}; expected [a, b]")
             if not (0 <= pair[0] < ring.p and 0 <= pair[1] < ring.p):
@@ -75,9 +80,7 @@ def complex_from_dict(data, force: bool = False, ring_override: RingSpec = None)
             f"ring {ring} in file does not agree with requested {ring_override}"
         )
     ranks = data["ranks"]
-    if not isinstance(ranks, list) or any(
-        not isinstance(r, int) or r < 0 for r in ranks
-    ):
+    if not isinstance(ranks, list) or any(not _is_int(r) or r < 0 for r in ranks):
         raise InvalidComplexError("ranks must be non-negative integers")
     mats_raw = data["differentials"]
     expected = max(len(ranks) - 1, 0)

@@ -139,6 +139,25 @@ def test_cli_invalid_input_exit_3(files, capsys):
     assert "invalid" in capsys.readouterr().err
 
 
+def test_cli_json_booleans_exit_3(tmp_path, capsys):
+    # JSON true/false are not integers, although Python's bool subclasses int
+    both = {"ring": "zpsq:2", "ranks": [True, True], "differentials": [[[[True, False]]]]}
+    assert cli.run(["decompose", _write(tmp_path, "both.json", both)]) == 3
+    assert "invalid" in capsys.readouterr().err
+    for data in (
+        {"ring": "zpsq:2", "ranks": [True, 1], "differentials": [[[[1, 0]]]]},
+        {"ring": "zpsq:2", "ranks": [1, 1], "differentials": [[[[1, False]]]]},
+    ):
+        with pytest.raises(InvalidComplexError):
+            serialize.complex_from_dict(data)
+
+
+def test_cli_directory_path_exit_2(files, tmp_path, capsys):
+    # exit 1 means "relation does not hold"; an unreadable path is a usage error
+    assert cli.run(["cell", str(tmp_path), files["E01"]]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_cli_usage_errors(files, tmp_path, capsys):
     dual = _write(tmp_path, "dual.json", serialize.complex_to_dict(sphere(RingSpec("dual", 2), 0)))
     assert cli.run(["cell", files["E01"], dual]) == 2

@@ -1,10 +1,11 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from chaincell import linalg
+from chaincell import linalg, reduce
 from chaincell.complexes import disk, empty, homology, interval, make_complex, sphere
-from chaincell.errors import UsageError
+from chaincell.errors import ChaincellError, UsageError
 from chaincell.ops import direct_sum, direct_sum_all, shift
 from chaincell.reduce import (
     barcode,
@@ -16,7 +17,8 @@ from chaincell.reduce import (
     rho_table,
     verify_certificates,
 )
-from chaincell.ring import RingSpec
+from chaincell.randgen import conjugated, random_complex_with_disks
+from chaincell.ring import RingSpec, parse_ring
 
 from conftest import bounded_random_complex
 
@@ -62,6 +64,52 @@ def test_minimize_interleaved_disks(ring, rng):
     assert sorted(result.disks) == [1, 2]
     assert result.minimal.total_rank == 3
     assert verify_certificates(X, result)
+
+
+def test_disk_counts_match_residue_ranks(ring, rng):
+    # independent count: conjugation keeps rank_k of each residue, and
+    # only the D^n summands contribute to it in degree n
+    for _ in range(40):
+        X = random_complex_with_disks(ring, rng, max_degree=5, max_rank=4, max_disks=6)
+        disks = Counter(minimize(X).disks)
+        for n in range(1, len(X.ranks)):
+            assert disks[n] == linalg.rank_k(X.d(n).residue())
+
+
+@pytest.mark.parametrize("spec", ["zpsq:3", "dual:3", "zpsq:5"])
+def test_certificates_verify_at_scale(spec):
+    # 8 disks per degree: every block step has s = 8, and the scrambling
+    # leaves the off-pivot blocks Q and S nonzero
+    ring = parse_ring(spec)
+    rng = np.random.default_rng(11)
+    intervals = [((t // 6) % (6 - t % 6), t % 6) for t in range(18)]
+    disks = [1 + t % 5 for t in range(40)]
+    parts = [interval(ring, i, j) for i, j in intervals] + [disk(ring, n) for n in disks]
+    X = conjugated(direct_sum_all(ring, parts), rng)
+    assert len(X.ranks) == 6 and X.total_rank >= 100
+    result = minimize(X)
+    assert Counter(result.disks) == Counter(disks)
+    for n in range(1, len(X.ranks)):
+        assert result.disks.count(n) == linalg.rank_k(X.d(n).residue())
+    assert barcode(result.minimal) == Counter(intervals)
+    assert verify_certificates(X, result)
+
+
+def test_minimize_block_checks(ring, monkeypatch):
+    # each check fires when its invariant breaks: d*d != 0 with validation
+    # skipped, or an echelon that reports too few pivots
+    monkeypatch.setattr(reduce, "require_valid", lambda X: None)
+    one = linalg.from_elements(ring, [[ring.element(1, 0)]])
+    r = linalg.from_elements(ring, [[ring.r()]])
+    with pytest.raises(ChaincellError, match="incoming"):
+        minimize(make_complex(ring, [1, 1, 1], [one, one], check=False))
+    with pytest.raises(ChaincellError, match="outgoing"):
+        minimize(make_complex(ring, [1, 1, 1], [r, one], check=False))
+    monkeypatch.setattr(
+        reduce, "echelon_mod", lambda D, p: (1, np.array([0]), np.array([0]), None)
+    )
+    with pytest.raises(ChaincellError, match="Schur"):
+        minimize(make_complex(ring, [2, 2], [linalg.identity(ring, 2)], check=False))
 
 
 def test_composite_rank_examples(ring):
