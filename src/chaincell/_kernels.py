@@ -14,7 +14,10 @@ Backend selection: environment variable ``CHAINCELL_BACKEND`` set to
 imports.  ``get_impls(name)`` exposes both for the benchmark.
 
 int64 bound: accumulators hold sums of products of values < p**2, so
-p**4 * max(rows, cols) must stay below 2**63; fine for desk-scale p.
+p**4 * n must stay below 2**63 for the inner dimension n of a product.
+``RingSpec`` refuses p > ``MAX_P`` = 251, which keeps p**4 * n < 2**63
+for every n < 2**31 and p**2 < 2**16 for the uint16 row keys of
+``complexes._keys``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import numpy as np
 
 FLAVOR_DUAL = 0
 FLAVOR_ZPSQ = 1
+
+MAX_P = 251  # the largest prime with p**2 < 2**16; see the int64 bound above
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,15 @@ Both rings are local with principal maximal ideal m = (r) and r*r = 0:
 
 Elements are written ``a + b*r`` with a, b in [0, p); the pair (a, b) is
 the unique canonical representation in either flavor, and an element is
-a unit exactly when a != 0.
+a unit exactly when a != 0.  The prime p is at most ``MAX_P`` = 251,
+the bound under which the int64 kernels are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._kernels import FLAVOR_DUAL, FLAVOR_ZPSQ
+from ._kernels import FLAVOR_DUAL, FLAVOR_ZPSQ, MAX_P
 from .errors import DomainError, UsageError
 
 ZPSQ = "zpsq"
@@ -44,6 +45,8 @@ class RingSpec:
     def __post_init__(self):
         if self.flavor not in _FLAVOR_CODES:
             raise UsageError(f"unknown ring flavor {self.flavor!r}")
+        if self.p > MAX_P:
+            raise UsageError(f"p must be at most {MAX_P} (int64 kernels), got {self.p}")
         if not is_prime(self.p):
             raise UsageError(f"p must be prime, got {self.p}")
 

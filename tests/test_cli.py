@@ -163,6 +163,11 @@ def test_cli_usage_errors(files, tmp_path, capsys):
     assert cli.run(["cell", files["E01"], dual]) == 2
     assert cli.run(["homology", str(tmp_path / "missing.json")]) == 2
     assert cli.run(["homology", files["E01"], "--ring", "dual:2"]) == 2
+    # p beyond the int64 bound is refused like a non-prime p
+    big = tmp_path / "big.json"
+    big.write_text('{"ring": "zpsq:65537", "ranks": [1], "differentials": []}')
+    assert cli.run(["homology", str(big)]) == 2
+    assert cli.run(["gen", "sphere", "0", "--ring", "dual:257"]) == 2
 
 
 def test_cli_guard_refusal(files, capsys):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,37 @@ def test_all_m_differentials_always_valid(ring, rng):
             for k in range(3)
         ]
         assert validate(make_complex(ring, ranks, diffs, check=False)) is None
+
+
+def _full_product_verdict(X):
+    """validate's d*d check with every product formed."""
+    for n in range(1, len(X.ranks) - 1):
+        if not linalg.is_zero(linalg.matmul(X.d(n), X.d(n + 1))):
+            return f"degree {n}: d{n}*d{n + 1} != 0"
+    return None
+
+
+def test_validate_skip_in_m_matches_full_product(ring, rng):
+    # validate skips d_n*d_{n+1} when both have every entry in m; replacing
+    # differentials of valid complexes with m-only or arbitrary matrices
+    # gives valid and invalid inputs that take both paths
+    seen = Counter()
+    for _ in range(200):
+        X = bounded_random_complex(ring, rng)
+        diffs = list(X.diffs)
+        for k, d in enumerate(diffs):
+            choice = int(rng.integers(0, 3))
+            if choice == 1:
+                b = rng.integers(0, ring.p, size=(d.rows, d.cols), dtype=np.int64)
+                diffs[k] = linalg.MatrixR(ring, ring.p * b)
+            elif choice == 2:
+                e = rng.integers(0, ring.size, size=(d.rows, d.cols), dtype=np.int64)
+                diffs[k] = linalg.MatrixR(ring, e)
+        Y = make_complex(ring, X.ranks, diffs, check=False)
+        verdict = validate(Y)
+        assert verdict == _full_product_verdict(Y)
+        seen[verdict is None] += 1
+    assert seen[True] and seen[False]
 
 
 def test_homology_examples(p2_ring):

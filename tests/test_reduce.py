@@ -127,6 +127,53 @@ def test_composite_rank_rejects_non_minimal(ring):
         composite_rank(interval(ring, 0, 2), 1, 3)
 
 
+def _minimal_with_mixed_parts(ring, rng, max_degree=7, max_rank=5):
+    """Minimal complex whose B_n are full random, rank <= 2, zero or empty."""
+    n_degrees = int(rng.integers(0, max_degree + 2))
+    ranks = [int(rng.integers(0, max_rank + 1)) for _ in range(n_degrees)]
+    diffs = []
+    for n in range(1, n_degrees):
+        rows, cols = ranks[n - 1], ranks[n]
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            B = rng.integers(0, ring.p, size=(rows, cols), dtype=np.int64)
+        elif kind == 1:
+            k = int(rng.integers(1, 3))
+            B = rng.integers(0, ring.p, size=(rows, k)) @ rng.integers(0, ring.p, size=(k, cols))
+        else:
+            B = np.zeros((rows, cols), dtype=np.int64)
+        diffs.append(linalg.MatrixR(ring, ring.p * (B % ring.p)))
+    return make_complex(ring, ranks, diffs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("flavor", ["zpsq", "dual"])
+def test_rho_table_matches_composite_rank(flavor, p):
+    # the one-sweep table against the product-chain definition, entry by entry
+    ring = RingSpec(flavor, p)
+    rng = np.random.default_rng(p)
+    cases = [empty(ring), sphere(ring, 0), sphere(ring, 3), make_complex(ring, [3], [])]
+    cases += [_minimal_with_mixed_parts(ring, rng) for _ in range(40)]
+    for M in cases:
+        n_degrees = len(M.ranks)
+        expected = {
+            (a, b): composite_rank(M, a, b)
+            for a in range(n_degrees)
+            for b in range(a, n_degrees)
+        }
+        assert rho_table(M) == expected
+
+
+def test_barcode_of_scrambled_deep_interval_sum(ring):
+    known = Counter(
+        {(0, 12): 2, (1, 11): 1, (2, 6): 3, (3, 9): 1, (4, 1): 1, (5, 0): 2, (7, 4): 1, (12, 0): 1}
+    )
+    parts = [interval(ring, i, j) for i, j in sorted(known.elements())]
+    M = conjugated(direct_sum_all(ring, parts), np.random.default_rng(12))
+    assert M.top == 12
+    assert barcode(M) == known
+
+
 def test_barcode_examples(ring):
     assert barcode(interval(ring, 0, 2)) == Counter({(0, 2): 1})
     two_spheres = make_complex(ring, [1, 1], [linalg.zeros(ring, 1, 1)])

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaincell import linalg
+from chaincell._kernels import MAX_P
 from chaincell.errors import DomainError, UsageError
 from chaincell.ring import RingSpec, lift, parse_ring, times_r
 
@@ -14,10 +16,29 @@ def test_parse_ring_strings():
     assert str(RingSpec("zpsq", 5)) == "zpsq:5"
 
 
-@pytest.mark.parametrize("bad", ["zpsq", "zpsq:x", "gauss:2", "zpsq:4", "zpsq:1"])
+@pytest.mark.parametrize(
+    "bad", ["zpsq", "zpsq:x", "gauss:2", "zpsq:4", "zpsq:1", "zpsq:257", "zpsq:65537", "dual:257"]
+)
 def test_bad_ring_specs_rejected(bad):
     with pytest.raises(UsageError):
         parse_ring(bad)
+
+
+@pytest.mark.parametrize("flavor", ["zpsq", "dual"])
+def test_matmul_exact_at_max_p(flavor):
+    # in zpsq:65537, [[u, u]] @ [[u], [u]] with u = (p-1) + (p-1)r overflowed
+    # int64 and read 0+8r instead of 2+0r, so larger p is refused; at MAX_P
+    # a long inner sum of the largest entries stays exact
+    ring = RingSpec(flavor, MAX_P)
+    u = ring.element(MAX_P - 1, MAX_P - 1)
+    n = 4096
+    prod = linalg.matmul(
+        linalg.from_elements(ring, [[u] * n]), linalg.from_elements(ring, [[u]] * n)
+    )
+    expected = ring.zero()
+    for _ in range(n):
+        expected = expected + u * u
+    assert prod.entry(0, 0) == expected
 
 
 def test_r_squares_to_zero(ring):
