@@ -6,7 +6,6 @@ interval multiset decides the cellularity and acyclicity relations, and
 brute-force oracles recheck every shortcut at the level of elements.
 """
 
-from ._kernels import ACTIVE_BACKEND
 from .complexes import (
     ChainComplex,
     ModuleDescriptor,

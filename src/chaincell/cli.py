@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and relation holds), 1 relation does not hold
 (cell / acyclic / crosscheck), 2 usage error, 3 invalid input complex,
-4 enumeration guard refusal.  Results go to stdout in the canonical
+4 enumeration guard refusal, 5 internal error (any other exception,
+such as running out of memory).  Results go to stdout in the canonical
 formats; diagnostics go to stderr.
 """
 
@@ -315,6 +316,9 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # never exit 1, which means "does not hold"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 def main():

@@ -8,12 +8,21 @@ decision procedure is cross-checked against the surjectivity criterion
 from a sum restricts to maps from each summand, so the images of single
 maps already generate everything any sum can hit).
 
+Every element is still visited, but in numpy batches rather than one
+Python call per vector: a vector of Y_0 is named by an integer code (its
+row index in ``_all_vectors``), the H0-epi search applies at most
+``_F0_CHUNK`` degree-0 components to all cycles at once, and the Hom_1
+walk takes chunks of flat indices into the Cartesian product of the
+blocks.  A chunk holds about ``_CHUNK_CELLS`` entries, so memory beyond
+the candidate stacks themselves stays bounded.
+
 Refusals are predictable: the guard is compared against the worst-case
 unpruned candidate count, not against what the pruning actually visits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +46,12 @@ from .lattice import is_cellular
 from .linalg import MatrixR
 from .ops import ChainMap, desuspend
 from .reduce import minimize
+
+
+# Chunked enumerations hold at most about this many entries per chunk.
+_CHUNK_CELLS = 1 << 16
+# exists_h0_epi takes at most this many f_0 candidates per chunk.
+_F0_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -122,18 +137,18 @@ class _MapSearch:
 
     def counts(self, only_m: bool = False):
         """Number of chain maps, optionally only those with every entry in m."""
-        p = self.ring.p
-
-        def admitted(n, k):
-            return not only_m or not np.any(self.cand[n][k] % p)
-
         if self.levels == 0:
             return 1
-        cnt = {k: 1 for k in self.viable[-1] if admitted(self.levels - 1, k)}
+        p = self.ring.p
+        admitted = [
+            ~np.any(c % p, axis=(1, 2)) if only_m else np.ones(len(c), bool)
+            for c in self.cand
+        ]
+        cnt = {k: 1 for k in self.viable[-1] if admitted[-1][k]}
         for n in range(self.levels - 1, 0, -1):
             prev = {}
             for k in self.viable[n - 1]:
-                if not admitted(n - 1, k):
+                if not admitted[n - 1][k]:
                     continue
                 total = sum(
                     cnt.get(kk, 0)
@@ -172,31 +187,39 @@ def hom_boundary_image_size(X: ChainComplex, Y: ChainComplex, guard: SizeGuard =
 
     A degree-1 element is a family g_i: X_i -> Y_{i+1}; its boundary is
     the chain map with components Y.d(i+1) @ g_i + g_{i-1} @ X.d(i).
+    Both products are taken once per candidate block; the families are
+    then walked in chunks of flat indices into their Cartesian product.
     """
     require_valid(X)
     require_valid(Y)
     ring = X.ring
-    blocks = [i for i in range(X.top + 1)]
+    blocks = range(X.top + 1)
     exponent = sum(X.rank(i) * Y.rank(i + 1) for i in blocks)
     guard.check("hom degree-1 enumeration", ring.size**exponent)
     cands = [_candidate_matrices(ring, Y.rank(i + 1), X.rank(i)) for i in blocks]
     p, fl = ring.p, ring.flavor_code
+    d_after = [_kernels.mat_mul_many_right(Y.d(i + 1).data, cands[i], p, fl) for i in blocks]
+    d_before = [None] + [
+        _kernels.mat_mul_many_left(cands[i - 1], X.d(i).data, p, fl) for i in blocks[1:]
+    ]
+    total = math.prod(len(c) for c in cands)
+    width = sum(Y.rank(i) * X.rank(i) for i in blocks)  # entries of one boundary
+    step = max(1, _CHUNK_CELLS // max(width, 1))
 
     seen = set()
-    import itertools
-
-    for choice in itertools.product(*[range(len(c)) for c in cands]):
-        parts = []
+    for lo in range(0, total, step):
+        flat = np.arange(lo, min(lo + step, total), dtype=np.int64)
+        choice = []  # mixed-radix digits of the flat index, block 0 fastest
+        for c in cands:
+            choice.append(flat % len(c))
+            flat = flat // len(c)
+        parts = [np.zeros((len(flat), 0), np.int64)]  # X may be empty
         for i in blocks:
-            g_i = cands[i][choice[i]]
-            phi = _kernels.mat_mul(Y.d(i + 1).data, g_i, p, fl)
+            phi = d_after[i][choice[i]]
             if i >= 1:
-                g_prev = cands[i - 1][choice[i - 1]]
-                phi = enc_add(
-                    phi, _kernels.mat_mul(g_prev, X.d(i).data, p, fl), p, fl
-                )
-            parts.append(phi.tobytes())
-        seen.add(b"".join(parts))
+                phi = enc_add(phi, d_before[i][choice[i - 1]], p, fl)
+            parts.append(phi.reshape(len(phi), -1))
+        seen.update(_keys(np.concatenate(parts, axis=1)))
     return len(seen)
 
 
@@ -205,7 +228,11 @@ def hom_boundary_image_size(X: ChainComplex, Y: ChainComplex, guard: SizeGuard =
 
 
 class _H0:
-    """Coset table for H_0(Y) = Y_0 / im d_1, elementwise."""
+    """Coset table for H_0(Y) = Y_0 / im d_1, elementwise.
+
+    Each vector of Y_0 is named by its code, its row index in
+    ``_all_vectors``; ``rep_of[code]`` is the smallest code in its coset.
+    """
 
     def __init__(self, Y: ChainComplex, guard: SizeGuard):
         ring = Y.ring
@@ -213,36 +240,44 @@ class _H0:
         guard.check("H0 coset table", ring.size ** Y.rank(0))
         guard.check("H0 boundary enumeration", ring.size ** Y.rank(1))
         self.p, self.fl = p, fl
-        vecs = _all_vectors(ring, Y.rank(0))
+        self.weights = ring.size ** np.arange(Y.rank(0) - 1, -1, -1, dtype=np.int64)
+        self.vecs = _all_vectors(ring, Y.rank(0))
         up = _all_vectors(ring, Y.rank(1))
         bnd = _kernels.mat_mul_many_right(Y.d(1).data, up[:, :, None], p, fl)
-        bnd = bnd.reshape(len(up), -1)
-        b_keys = sorted(set(_keys(bnd)))
-        b_vecs = {}
-        for k, v in zip(_keys(bnd), bnd):
-            b_vecs.setdefault(k, v)
-        boundary = [b_vecs[k] for k in b_keys]
+        boundary = self.vecs[np.unique(self.code(bnd[:, :, 0]))]
 
-        self.rep = {}  # element key -> representative key
-        self.rep_vec = {}  # representative key -> vector
-        all_keys = _keys(vecs)
-        for k, v in zip(all_keys, vecs):
-            if k in self.rep:
+        self.rep_of = np.full(len(self.vecs), -1, dtype=np.int64)
+        self.size = 0
+        for c in range(len(self.vecs)):
+            if self.rep_of[c] < 0:  # c is the smallest code of a new coset
+                self.rep_of[self.code(enc_add(self.vecs[c], boundary, p, fl))] = c
+                self.size += 1
+
+    def code(self, vecs: np.ndarray) -> np.ndarray:
+        """Codes of the vectors along the last axis."""
+        return vecs @ self.weights
+
+    def spans(self, gens) -> bool:
+        """Do the cosets with these representative codes generate H_0?"""
+        in_span = np.zeros(len(self.rep_of), dtype=bool)
+        in_span[0] = True
+        span = np.zeros(1, dtype=np.int64)  # representative codes, zero first
+        for g in gens:
+            if in_span[g]:
                 continue
-            self.rep[k] = k
-            self.rep_vec[k] = v
-            for b in boundary:
-                shifted = enc_add(v, b, p, fl)
-                self.rep[_keys(shifted[None, :])[0]] = k
-        self.size = len(self.rep_vec)
-        self.zero_key = self.rep[_keys(np.zeros((1, vecs.shape[1]), np.int64))[0]]
-
-    def reduce_key(self, vec: np.ndarray):
-        return self.rep[_keys(vec[None, :])[0]]
-
-    def add_reps(self, key_a, key_b):
-        s = enc_add(self.rep_vec[key_a], self.rep_vec[key_b], self.p, self.fl)
-        return self.reduce_key(s)
+            cosets = [span]
+            shifted = span
+            while True:  # span + k*g for k = 1, 2, ... until k*g is in span
+                moved = enc_add(self.vecs[shifted], self.vecs[g], self.p, self.fl)
+                shifted = self.rep_of[self.code(moved)]
+                if in_span[shifted[0]]:
+                    break
+                in_span[shifted] = True
+                cosets.append(shifted)
+            span = np.concatenate(cosets)
+            if len(span) == self.size:
+                return True
+        return len(span) == self.size
 
 
 def exists_h0_epi(A: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard()) -> bool:
@@ -262,34 +297,19 @@ def exists_h0_epi(A: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard
         return True
 
     search = _MapSearch(A, Y, guard)
-    viable0 = search.viable[0]
     ring = A.ring
     p, fl = ring.p, ring.flavor_code
     guard.check("H0 cycle enumeration", ring.size ** A.rank(0))
-    cycles = _all_vectors(ring, A.rank(0))  # degree 0: everything is a cycle
+    cycles = _all_vectors(ring, A.rank(0)).T.copy()  # degree 0: everything is a cycle
 
-    gens = set()
-    f0_stack = search.cand[0][viable0]
-    if len(f0_stack):
-        images = _kernels.mat_mul_many_left(f0_stack, cycles.T.copy(), p, fl)
-        for img in images:  # img: Y.rank(0) x n_cycles
-            for col in img.T:
-                gens.add(h0.reduce_key(col))
-
-    span = {h0.zero_key}
-    frontier = list(span)
-    while frontier:
-        nxt = []
-        for g in gens:
-            for s in frontier:
-                t = h0.add_reps(s, g)
-                if t not in span:
-                    span.add(t)
-                    nxt.append(t)
-        if len(span) == h0.size:
-            return True
-        frontier = nxt
-    return len(span) == h0.size
+    # images of every cycle under every viable f_0, a chunk of f_0 at a time
+    hit = np.zeros(len(h0.vecs), dtype=bool)
+    f0_stack = search.cand[0][search.viable[0]]
+    step = max(1, min(_F0_CHUNK, _CHUNK_CELLS // (Y.rank(0) * cycles.shape[1])))
+    for lo in range(0, len(f0_stack), step):
+        images = _kernels.mat_mul_many_left(f0_stack[lo : lo + step], cycles, p, fl)
+        hit[h0.code(images.transpose(0, 2, 1))] = True
+    return h0.spans(np.unique(h0.rep_of[hit]))
 
 
 # ---------------------------------------------------------------------------

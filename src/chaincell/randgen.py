@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .complexes import ChainComplex, disk, interval, make_complex
-from .errors import DomainError
+from .errors import DomainError, InvalidComplexError
 from .linalg import MatrixR
 from .ops import direct_sum_all
 from .ring import RingSpec
@@ -53,7 +53,7 @@ def random_complex(
         ]
         try:
             return make_complex(ring, ranks, diffs, check=True)
-        except Exception:
+        except InvalidComplexError:
             continue
     raise DomainError(f"no valid complex found in {attempts} unit-sampling attempts")
 
@@ -64,7 +64,7 @@ def random_invertible(ring: RingSpec, rng, n: int, attempts: int = 1000) -> Matr
         m = MatrixR(ring, data)
         if linalg.is_invertible(m):
             return m
-    return linalg.identity(ring, n)  # unreachable in practice
+    raise DomainError(f"no invertible {n}x{n} matrix found in {attempts} attempts")
 
 
 def conjugated(X: ChainComplex, rng) -> ChainComplex:

@@ -175,6 +175,20 @@ def test_cli_guard_refusal(files, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [RuntimeError("bug"), MemoryError()], ids=repr)
+def test_cli_internal_error_exit_5(files, monkeypatch, capsys, error):
+    # exit 1 means "relation does not hold"; a crash must not look like it
+    def crash(args):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "decompose", crash)
+    assert cli.run(["decompose", files["D1"]]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_cli_gen_rand_round_trip(tmp_path, capsys):
     assert cli.run(["gen", "interval", "0", "2", "--ring", "dual:3"]) == 0
     text = capsys.readouterr().out.strip()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chaincell import _kernels, linalg
+from chaincell import linalg
 from chaincell.errors import UsageError
 from chaincell.linalg import MatrixK, MatrixR
 from chaincell.ring import RingSpec
@@ -105,27 +105,3 @@ def test_kron_agrees_with_entrywise_products(ring):
             for s in range(2):
                 assert k.entry(i * 2 + s, j) == a.entry(i, j) * b.entry(s, 0)
 
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-def test_backends_agree(ring, rng):
-    np_impl = _kernels.get_impls("numpy")
-    nb_impl = _kernels.get_impls("numba")
-    p, fl = ring.p, ring.flavor_code
-    for _ in range(50):
-        A = rng.integers(0, ring.size, size=(4, 3), dtype=np.int64)
-        B = rng.integers(0, ring.size, size=(3, 5), dtype=np.int64)
-        assert np.array_equal(
-            np_impl["mat_mul"](A, B, p, fl), nb_impl["mat_mul"](A, B, p, fl)
-        )
-        M = rng.integers(0, ring.p, size=(5, 5), dtype=np.int64)
-        assert np_impl["rank_mod"](M, p) == nb_impl["rank_mod"](M, p)
-        stack = rng.integers(0, ring.size, size=(6, 3, 2), dtype=np.int64)
-        assert np.array_equal(
-            np_impl["mat_mul_many_right"](A, stack, p, fl),
-            nb_impl["mat_mul_many_right"](A, stack, p, fl),
-        )
-        left = rng.integers(0, ring.size, size=(6, 2, 4), dtype=np.int64)
-        assert np.array_equal(
-            np_impl["mat_mul_many_left"](left, A, p, fl),
-            nb_impl["mat_mul_many_left"](left, A, p, fl),
-        )

@@ -3,16 +3,28 @@ import itertools
 import numpy as np
 import pytest
 
-from chaincell import linalg
-from chaincell.complexes import disk, empty, interval, make_complex, sphere, validate
+from chaincell import linalg, oracle
+from chaincell._kernels import enc_add, mat_mul
+from chaincell.complexes import (
+    disk,
+    empty,
+    homology,
+    interval,
+    make_complex,
+    module_from_sizes,
+    sphere,
+    validate,
+)
 from chaincell.errors import DomainError, GuardExceeded, UsageError
 from chaincell.ops import direct_sum, is_chain_map, shift
 from chaincell.oracle import (
     SizeGuard,
+    chain_map_module,
     cross_check,
     enumerate_chain_maps,
     exists_h0_epi,
     extension,
+    hom_boundary_image_size,
     random_extension,
 )
 from chaincell.ring import RingSpec
@@ -169,3 +181,194 @@ def test_h0_epi_consistency_with_lattice_on_sums(p2_ring, rng):
             continue
         assert cross_check(X, A, SizeGuard(1 << 18)).agree
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# naive per-candidate references: the enumerations written as plain loops
+
+
+def naive_vectors(ring, n):
+    return [np.array(v, dtype=np.int64) for v in itertools.product(range(ring.size), repeat=n)]
+
+
+def naive_matrices(ring, rows, cols):
+    return [v.reshape(rows, cols) for v in naive_vectors(ring, rows * cols)]
+
+
+def naive_chain_maps(X, Y):
+    """Every chain map X -> Y: the full product of blocks, filtered."""
+    p, fl = X.ring.p, X.ring.flavor_code
+    degrees = max(len(X.ranks), len(Y.ranks))
+    spaces = [naive_matrices(X.ring, Y.rank(n), X.rank(n)) for n in range(degrees)]
+    maps = []
+    for mats in itertools.product(*spaces):
+        if all(
+            np.array_equal(
+                mat_mul(Y.d(n).data, mats[n], p, fl), mat_mul(mats[n - 1], X.d(n).data, p, fl)
+            )
+            for n in range(1, degrees)
+        ):
+            maps.append(mats)
+    return maps
+
+
+def naive_chain_map_module(X, Y):
+    maps = naive_chain_maps(X, Y)
+    in_m = [mats for mats in maps if not any(np.any(m % X.ring.p) for m in mats)]
+    return module_from_sizes(X.ring.p, len(maps), len(in_m))
+
+
+def naive_hom_image_size(X, Y):
+    p, fl = X.ring.p, X.ring.flavor_code
+    blocks = range(X.top + 1)
+    spaces = [naive_matrices(X.ring, Y.rank(i + 1), X.rank(i)) for i in blocks]
+    seen = set()
+    for g in itertools.product(*spaces):
+        parts = []
+        for i in blocks:
+            phi = mat_mul(Y.d(i + 1).data, g[i], p, fl)
+            if i >= 1:
+                phi = enc_add(phi, mat_mul(g[i - 1], X.d(i).data, p, fl), p, fl)
+            parts.append(tuple(phi.ravel().tolist()))
+        seen.add(tuple(parts))
+    return len(seen)
+
+
+def naive_exists_h0_epi(A, Y, f0s=None):
+    """Coset table as a dict, generators f_0(c) one at a time, span by BFS."""
+    ring = Y.ring
+    p, fl = ring.p, ring.flavor_code
+
+    def apply(M, v):
+        return tuple(mat_mul(M, v.reshape(-1, 1), p, fl)[:, 0].tolist())
+
+    def add(u, v):
+        return tuple(enc_add(np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), p, fl).tolist())
+
+    boundary = {apply(Y.d(1).data, u) for u in naive_vectors(ring, Y.rank(1))}
+    rep = {}
+    for v in naive_vectors(ring, Y.rank(0)):
+        v = tuple(v.tolist())
+        if v not in rep:
+            for b in boundary:
+                rep[add(v, b)] = v
+    if f0s is None:
+        f0s = [mats[0] for mats in naive_chain_maps(A, Y)]
+    gens = {rep[apply(f0, c)] for f0 in f0s for c in naive_vectors(ring, A.rank(0))}
+    zero = (0,) * Y.rank(0)
+    span, frontier = {rep[zero]}, [rep[zero]]
+    while frontier:
+        nxt = []
+        for g in gens:
+            for s in frontier:
+                t = rep[add(s, g)]
+                if t not in span:
+                    span.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return len(span) == len(set(rep.values()))
+
+
+NAIVE_LIMIT = 1024
+
+
+def _map_exponent(X, Y):
+    return sum(X.rank(n) * Y.rank(n) for n in range(max(len(X.ranks), len(Y.ranks))))
+
+
+def _hom1_exponent(X, Y):
+    return sum(X.rank(i) * Y.rank(i + 1) for i in range(X.top + 1))
+
+
+@pytest.fixture(params=["default", "tiny"])
+def chunks(request, monkeypatch):
+    """Default chunk sizes, or tiny ones that force many ragged chunks."""
+    if request.param == "tiny":
+        monkeypatch.setattr(oracle, "_CHUNK_CELLS", 5)
+        monkeypatch.setattr(oracle, "_F0_CHUNK", 3)
+    return request.param
+
+
+def _small_pairs(ring, rng, exponent, count, want=lambda X, Y: True):
+    pairs = []
+    while len(pairs) < count:
+        X = bounded_random_complex(ring, rng, max_len=3, max_rank=2)
+        Y = bounded_random_complex(ring, rng, max_len=3, max_rank=2)
+        if ring.size ** exponent(X, Y) <= NAIVE_LIMIT and want(X, Y):
+            pairs.append((X, Y))
+    return pairs
+
+
+def test_chain_map_module_matches_naive(ring, rng, chunks):
+    for X, Y in _small_pairs(ring, rng, _map_exponent, 6):
+        assert chain_map_module(X, Y) == naive_chain_map_module(X, Y)
+
+
+def test_hom_boundary_image_size_matches_naive(ring, rng, chunks):
+    for X, Y in _small_pairs(ring, rng, _hom1_exponent, 6):
+        assert hom_boundary_image_size(X, Y) == naive_hom_image_size(X, Y)
+    for X in (empty(ring), sphere(ring, 0)):
+        for Y in (empty(ring), sphere(ring, 0), interval(ring, 0, 1)):
+            assert hom_boundary_image_size(X, Y) == naive_hom_image_size(X, Y)
+
+
+def test_exists_h0_epi_matches_naive(ring, rng, chunks):
+    def admissible(A, Y):
+        return not A.is_empty() and not homology(A)[0].is_zero()
+
+    pairs = _small_pairs(ring, rng, _map_exponent, 6, admissible)
+    A1 = interval(ring, 0, 1)
+    pairs += [(A1, sphere(ring, 0)), (A1, direct_sum(A1, sphere(ring, 0)))]
+    verdicts = set()
+    for A, Y in pairs:
+        got = exists_h0_epi(A, Y)
+        assert got == naive_exists_h0_epi(A, Y)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_exists_h0_epi_rank_zero_target(ring):
+    # H_0(Y) = 0 is hit by anything
+    A = interval(ring, 0, 1)
+    for Y in (empty(ring), interval(ring, 1, 1), shift(disk(ring, 1), 1)):
+        assert Y.rank(0) == 0
+        assert exists_h0_epi(A, Y) is naive_exists_h0_epi(A, Y) is True
+        assert chain_map_module(A, Y) == naive_chain_map_module(A, Y)
+        assert hom_boundary_image_size(A, Y) == naive_hom_image_size(A, Y)
+
+
+def test_exists_h0_epi_no_viable_f0(ring, monkeypatch):
+    # with no viable degree-0 component only the zero coset is reached
+    class NoMaps(oracle._MapSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.viable[0] = []
+
+    monkeypatch.setattr(oracle, "_MapSearch", NoMaps)
+    A, Y = sphere(ring, 0), interval(ring, 0, 1)
+    assert exists_h0_epi(A, Y) is naive_exists_h0_epi(A, Y, f0s=[]) is False
+
+
+def _refusal(fn, *args):
+    with pytest.raises(GuardExceeded) as info:
+        fn(*args)
+    return info.value.required, str(info.value).split(" needs")[0]
+
+
+def test_guard_refusals_keep_order_and_required():
+    zero_d = linalg.zeros(Z4, 4, 4)
+    Y = make_complex(Z4, [4, 4], [zero_d])  # coset table 4^4, boundaries 4^4
+    A = make_complex(Z4, [2], [])  # chain maps A -> Y: 4^(2*4)
+    assert _refusal(exists_h0_epi, A, Y, SizeGuard(255)) == (256, "H0 coset table")
+    assert _refusal(exists_h0_epi, A, Y, SizeGuard(256)) == (4**8, "chain map enumeration")
+    Y1 = make_complex(Z4, [1, 5], [linalg.zeros(Z4, 1, 5)])
+    assert _refusal(exists_h0_epi, A, Y1, SizeGuard(1000)) == (4**5, "H0 boundary enumeration")
+    assert _refusal(chain_map_module, A, Y, SizeGuard(4**8 - 1)) == (4**8, "chain map enumeration")
+    X = make_complex(Z4, [1, 1], [linalg.zeros(Z4, 1, 1)])
+    W = make_complex(Z4, [0, 2, 1], [linalg.zeros(Z4, 0, 2), linalg.zeros(Z4, 2, 1)])
+    # Hom_1 blocks X_0 -> W_1 and X_1 -> W_2: 4^(1*2 + 1*1)
+    assert _refusal(hom_boundary_image_size, X, W, SizeGuard(63)) == (
+        64,
+        "hom degree-1 enumeration",
+    )
+    assert hom_boundary_image_size(X, W, SizeGuard(64)) == naive_hom_image_size(X, W) == 1
