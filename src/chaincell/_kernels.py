@@ -2,23 +2,34 @@
 
 Every coefficient is packed into one int64 as ``v = a + p*b`` with
 ``a, b in [0, p)``, meaning ``a + b*r`` where r generates the maximal
-ideal.  ``flavor`` selects the multiplication rule:
+ideal.  The two flavours differ in one thing only: whether the residue
+plane carries into the r-plane.
 
-* ``FLAVOR_ZPSQ`` (1): the packed value *is* the integer mod p**2, so
-  products carry from the a-part into the b-part.
-* ``FLAVOR_DUAL`` (0): truncated polynomials k[X]/(X^2); the parts never
-  interact except via a1*b2 + b1*a2.
+* zpsq (flavour code 1): the packed value *is* the integer mod p**2, so
+  the ring operation is the integer operation reduced mod p**2.
+* dual (flavour code 0): truncated polynomials k[X]/(X^2), where the
+  residue plane never carries.
 
-int64 bound: accumulators hold sums of products of values < p**2, so
-p**4 * n must stay below 2**63 for the inner dimension n of a product.
-``RingSpec`` refuses p > ``MAX_P`` = 251, which keeps p**4 * n < 2**63
-for every n < 2**31 and p**2 < 2**16 for the uint16 row keys of
-``complexes._keys``.
+For an integer operation op that is Z-linear in each argument (add,
+subtract, negate, multiply, matrix product), op on packed entries is
+op(a-parts) + p*(mixed terms) + p**2*(...).  So one rule serves both
+flavours: zpsq reduces op(x, ...) mod p**2, and dual first takes away
+the carry p*(op(x % p, ...) // p) of the residue plane.  ``_ring_op``
+holds that rule, and every arithmetic over R below goes through it;
+``echelon_mod`` and ``rank_mod`` work over the residue field F_p.
+
+int64 bound: a matrix product sums n products of values < p**2, so
+p**4 * n must stay below 2**63 for the inner dimension n, in both
+flavours.  ``RingSpec`` refuses p > ``MAX_P`` = 251, which keeps
+p**4 * n < 2**63 for every n < 2**31 and p**2 < 2**16 for the uint16
+row keys of ``complexes._keys``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import UsageError
 
 FLAVOR_DUAL = 0
 FLAVOR_ZPSQ = 1
@@ -26,64 +37,53 @@ FLAVOR_ZPSQ = 1
 MAX_P = 251  # the largest prime with p**2 < 2**16; see the int64 bound above
 
 
-# ---------------------------------------------------------------------------
-# elementwise helpers
+def _ring_op(op, p, flavor, *args):
+    """``op`` on packed entries, reduced by the flavour's carry rule."""
+    out = op(*args)
+    if flavor == FLAVOR_DUAL:
+        out = out - p * (op(*(x % p for x in args)) // p)
+    return out % (p * p)
 
 
 def enc_add(x, y, p, flavor):
-    if flavor == FLAVOR_ZPSQ:
-        return (x + y) % (p * p)
-    return (x + y) % p + p * ((x // p + y // p) % p)
+    return _ring_op(np.add, p, flavor, x, y)
+
+
+def enc_sub(x, y, p, flavor):
+    return _ring_op(np.subtract, p, flavor, x, y)
 
 
 def enc_neg(x, p, flavor):
-    if flavor == FLAVOR_ZPSQ:
-        return (-x) % (p * p)
-    return (-x) % p + p * ((-(x // p)) % p)
+    return _ring_op(np.negative, p, flavor, x)
 
 
 def enc_mul(x, y, p, flavor):
-    if flavor == FLAVOR_ZPSQ:
-        return (x * y) % (p * p)
-    a1, b1 = x % p, x // p
-    a2, b2 = y % p, y // p
-    return (a1 * a2) % p + p * ((a1 * b2 + b1 * a2) % p)
-
-
-# ---------------------------------------------------------------------------
-# matrix products
+    return _ring_op(np.multiply, p, flavor, x, y)
 
 
 def mat_mul(A, B, p, flavor):
-    if flavor == FLAVOR_ZPSQ:
-        return (A @ B) % (p * p)
-    Aa, Ab = A % p, A // p
-    Ba, Bb = B % p, B // p
-    ca = (Aa @ Ba) % p
-    cb = (Aa @ Bb + Ab @ Ba) % p
-    return ca + p * cb
+    """A @ B over R; either side may be a stack (broadcast as np.matmul)."""
+    return _ring_op(np.matmul, p, flavor, A, B)
 
 
-def mat_mul_many_right(A, Bs, p, flavor):
-    # A (m,k) against a stack Bs (n,k,l) -> (n,m,l)
-    if flavor == FLAVOR_ZPSQ:
-        return np.einsum("ij,njl->nil", A, Bs) % (p * p)
-    Aa, Ab = A % p, A // p
-    Ba, Bb = Bs % p, Bs // p
-    ca = np.einsum("ij,njl->nil", Aa, Ba) % p
-    cb = (np.einsum("ij,njl->nil", Aa, Bb) + np.einsum("ij,njl->nil", Ab, Ba)) % p
-    return ca + p * cb
+mat_mul_many_right = mat_mul  # the name perfbench's kernel rows still time
 
 
-def mat_mul_many_left(As, B, p, flavor):
-    # stack As (n,m,k) against B (k,l) -> (n,m,l)
-    if flavor == FLAVOR_ZPSQ:
-        return np.einsum("nij,jl->nil", As, B) % (p * p)
-    Aa, Ab = As % p, As // p
-    Ba, Bb = B % p, B // p
-    ca = np.einsum("nij,jl->nil", Aa, Ba) % p
-    cb = (np.einsum("nij,jl->nil", Aa, Bb) + np.einsum("nij,jl->nil", Ab, Ba)) % p
-    return ca + p * cb
+def mat_inverse(A, p, flavor):
+    """Inverse over R of a packed square matrix whose residue is invertible.
+
+    The elimination of [A | I] over F_p ends in [I | x0] with x0 the
+    residue inverse.  Then A*x0 = I - E with E in m, and E*E = 0, so one
+    correction step X = x0 + x0*E is exact: A*X = (I - E)(I + E) = I.
+    """
+    n = A.shape[0]
+    eye = np.eye(n, dtype=np.int64)
+    _, _, pivot_cols, reduced = echelon_mod(np.hstack([A, eye]), p)
+    if n and pivot_cols[-1] >= n:
+        raise UsageError("residue matrix is singular")
+    x0 = reduced[:, n:]
+    E = enc_sub(eye, mat_mul(A, x0, p, flavor), p, flavor)
+    return enc_add(x0, mat_mul(x0, E, p, flavor), p, flavor)
 
 
 def echelon_mod(M, p):

@@ -104,10 +104,6 @@ def _emit(args, obj, explain_lines=None):
         print(serialize.dumps(obj, mode))
 
 
-def _descr_text(d):
-    return str(d)
-
-
 def _cmd_validate(args):
     X = _load(args, force=True)
     problem = complexes.validate(X)
@@ -122,7 +118,7 @@ def _cmd_validate(args):
 def _cmd_homology(args):
     X = _load(args)
     hs = complexes.homology(X)
-    lines = [f"H_{n} = {_descr_text(d)}" for n, d in enumerate(hs)]
+    lines = [f"H_{n} = {d}" for n, d in enumerate(hs)]
     _emit(args, serialize.homology_to_list(hs), lines or ["zero complex"])
     return 0
 
@@ -199,7 +195,7 @@ def _cmd_hom(args):
     Y = _load(args, "file_y")
     h = ops.hom_complex(X, Y, guard=_guard(args))
     lines = [
-        f"degree 0 module: {_descr_text(h.degree0)}",
+        f"degree 0 module: {h.degree0}",
         f"positive-degree ranks: {list(h.positive.ranks)}",
         f"|im d_1| = {h.d1_image_size}",
         "full complex available" if h.full is not None else "degree 0 reported up to isomorphism",

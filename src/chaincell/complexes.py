@@ -274,11 +274,11 @@ def brute_homology(X: ChainComplex, work_limit: int = BRUTE_WORK_LIMIT) -> list:
             cycles = vecs
         else:
             dn = X.d(n).data
-            imgs = _kernels.mat_mul_many_right(dn, vecs[:, :, None], p, fl)
+            imgs = _kernels.mat_mul(dn, vecs[:, :, None], p, fl)
             cycles = vecs[~np.any(imgs.reshape(len(vecs), -1), axis=1)]
         up = _all_vectors(ring, X.rank(n + 1))
         dn1 = X.d(n + 1).data
-        bvecs = _kernels.mat_mul_many_right(dn1, up[:, :, None], p, fl).reshape(
+        bvecs = _kernels.mat_mul(dn1, up[:, :, None], p, fl).reshape(
             len(up), -1
         )
         boundary_keys = set(_keys(bvecs))

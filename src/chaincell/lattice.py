@@ -19,6 +19,7 @@ from typing import Optional
 from .complexes import ChainComplex
 from .errors import UsageError
 from .reduce import decompose
+from .ring import check_same_ring
 
 
 @dataclass
@@ -58,14 +59,9 @@ def generator_relation(i: int, j: int, i2: int, j2: int) -> bool:
     return (i, j) <= (i2, j2)
 
 
-def _check_pair(X: ChainComplex, A: ChainComplex):
-    if X.ring != A.ring:
-        raise UsageError(f"ring mismatch: {X.ring} vs {A.ring}")
-
-
 def is_cellular(X: ChainComplex, A: ChainComplex) -> Verdict:
     """Decide X >> A (X belongs to the cellular class of A)."""
-    _check_pair(X, A)
+    check_same_ring(X, A)
     mx = min_pair(X)
     if mx is None:
         return Verdict(True, "x-contractible", min_pair_x=None)
@@ -77,7 +73,7 @@ def is_cellular(X: ChainComplex, A: ChainComplex) -> Verdict:
 
 def is_acyclic_over(X: ChainComplex, A: ChainComplex) -> Verdict:
     """Decide X > A (X belongs to the acyclic class of A)."""
-    _check_pair(X, A)
+    check_same_ring(X, A)
     mx = min_pair(X)
     if mx is None:
         return Verdict(True, "x-contractible")

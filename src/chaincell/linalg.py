@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from ._kernels import enc_add, enc_mul, enc_neg
+from ._kernels import enc_mul, enc_neg
 from .errors import UsageError
-from .ring import RingElement, RingSpec
+from .ring import RingElement, RingSpec, check_same_ring
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -106,26 +106,6 @@ def identity(ring: RingSpec, n: int) -> MatrixR:
     return MatrixR(ring, np.eye(n, dtype=np.int64))
 
 
-def from_pairs(ring: RingSpec, rows, shape: Optional[tuple] = None) -> MatrixR:
-    """Build from rows of [a, b] pairs; shape disambiguates empty matrices."""
-    if shape is None:
-        shape = (len(rows), len(rows[0]) if rows else 0)
-    data = np.zeros(shape, dtype=np.int64)
-    if len(rows) != shape[0]:
-        raise UsageError(f"expected {shape[0]} rows, got {len(rows)}")
-    for i, row in enumerate(rows):
-        if len(row) != shape[1]:
-            raise UsageError(f"row {i}: expected {shape[1]} entries, got {len(row)}")
-        for j, pair in enumerate(row):
-            a, b = pair
-            if not (0 <= a < ring.p and 0 <= b < ring.p):
-                raise UsageError(
-                    f"entry ({i},{j}) = [{a},{b}] out of range for p={ring.p}"
-                )
-            data[i, j] = a + ring.p * b
-    return MatrixR(ring, data)
-
-
 def from_elements(ring: RingSpec, rows) -> MatrixR:
     data = np.array(
         [[x.encoded for x in row] for row in rows], dtype=np.int64
@@ -137,13 +117,8 @@ def from_elements(ring: RingSpec, rows) -> MatrixR:
 # arithmetic
 
 
-def _same_ring(A: MatrixR, B: MatrixR):
-    if A.ring != B.ring:
-        raise UsageError(f"ring mismatch: {A.ring} vs {B.ring}")
-
-
 def matmul(A: MatrixR, B: MatrixR) -> MatrixR:
-    _same_ring(A, B)
+    check_same_ring(A, B)
     if A.cols != B.rows:
         raise UsageError(f"shape mismatch: {A.rows}x{A.cols} @ {B.rows}x{B.cols}")
     out = _kernels.mat_mul(A.data, B.data, A.ring.p, A.ring.flavor_code)
@@ -164,7 +139,7 @@ def neg(A: MatrixR) -> MatrixR:
 
 def kron(A: MatrixR, B: MatrixR) -> MatrixR:
     """Kronecker product; row-major pair ordering (A-index major)."""
-    _same_ring(A, B)
+    check_same_ring(A, B)
     p, fl = A.ring.p, A.ring.flavor_code
     prod = enc_mul(
         A.data[:, None, :, None], B.data[None, :, None, :], p, fl
@@ -205,32 +180,7 @@ def inverse_matrix(A: MatrixR) -> MatrixR:
     """Inverse of an invertible square matrix over R."""
     if not is_invertible(A):
         raise UsageError("matrix is not invertible")
-    return MatrixR(A.ring, inverse_encoded(A.data, A.ring.p, A.ring.flavor_code))
-
-
-def inverse_encoded(A: np.ndarray, p: int, flavor: int) -> np.ndarray:
-    """Inverse of an encoded square matrix whose residue is invertible.
-
-    Lift the residue-field inverse, then one correction step: with
-    A*X0 = I - E and E entries in m, E*E = 0, so X0*(2I - A*X0) is exact.
-    """
-    x0 = _inverse_mod_p(A % p, p)
-    ax0 = _kernels.mat_mul(A, x0, p, flavor)
-    two = int(enc_add(np.int64(1), np.int64(1), p, flavor))
-    two_i = np.eye(A.shape[0], dtype=np.int64) * two
-    diff = enc_add(two_i, enc_neg(ax0, p, flavor), p, flavor)
-    return _kernels.mat_mul(x0, diff, p, flavor)
-
-
-def _inverse_mod_p(M: np.ndarray, p: int) -> np.ndarray:
-    """Inverse over F_p: the elimination of [M | I] ends in [I | M^-1]."""
-    n = M.shape[0]
-    _, _, pivot_cols, reduced = _kernels.echelon_mod(
-        np.hstack([M, np.eye(n, dtype=np.int64)]), p
-    )
-    if n and pivot_cols[-1] >= n:
-        raise UsageError("residue matrix is singular")
-    return reduced[:, n:]
+    return MatrixR(A.ring, _kernels.mat_inverse(A.data, A.ring.p, A.ring.flavor_code))
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,9 @@ class _MapSearch:
         self.lhs_keys = [None] * self.levels  # key(target.d(n) @ f_n)
         self.rhs_keys = [None] * self.levels  # key(f_n @ source.d(n+1))
         for n in range(1, self.levels):
-            lhs = _kernels.mat_mul_many_right(target.d(n).data, self.cand[n], p, fl)
+            lhs = _kernels.mat_mul(target.d(n).data, self.cand[n], p, fl)
             self.lhs_keys[n] = _keys(lhs.reshape(len(self.cand[n]), -1))
-            rhs = _kernels.mat_mul_many_left(self.cand[n - 1], source.d(n).data, p, fl)
+            rhs = _kernels.mat_mul(self.cand[n - 1], source.d(n).data, p, fl)
             self.rhs_keys[n - 1] = _keys(rhs.reshape(len(self.cand[n - 1]), -1))
 
         self.viable = [list(range(len(c))) for c in self.cand]
@@ -198,9 +198,9 @@ def hom_boundary_image_size(X: ChainComplex, Y: ChainComplex, guard: SizeGuard =
     guard.check("hom degree-1 enumeration", ring.size**exponent)
     cands = [_candidate_matrices(ring, Y.rank(i + 1), X.rank(i)) for i in blocks]
     p, fl = ring.p, ring.flavor_code
-    d_after = [_kernels.mat_mul_many_right(Y.d(i + 1).data, cands[i], p, fl) for i in blocks]
+    d_after = [_kernels.mat_mul(Y.d(i + 1).data, cands[i], p, fl) for i in blocks]
     d_before = [None] + [
-        _kernels.mat_mul_many_left(cands[i - 1], X.d(i).data, p, fl) for i in blocks[1:]
+        _kernels.mat_mul(cands[i - 1], X.d(i).data, p, fl) for i in blocks[1:]
     ]
     total = math.prod(len(c) for c in cands)
     width = sum(Y.rank(i) * X.rank(i) for i in blocks)  # entries of one boundary
@@ -243,7 +243,7 @@ class _H0:
         self.weights = ring.size ** np.arange(Y.rank(0) - 1, -1, -1, dtype=np.int64)
         self.vecs = _all_vectors(ring, Y.rank(0))
         up = _all_vectors(ring, Y.rank(1))
-        bnd = _kernels.mat_mul_many_right(Y.d(1).data, up[:, :, None], p, fl)
+        bnd = _kernels.mat_mul(Y.d(1).data, up[:, :, None], p, fl)
         boundary = self.vecs[np.unique(self.code(bnd[:, :, 0]))]
 
         self.rep_of = np.full(len(self.vecs), -1, dtype=np.int64)
@@ -307,7 +307,7 @@ def exists_h0_epi(A: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard
     f0_stack = search.cand[0][search.viable[0]]
     step = max(1, min(_F0_CHUNK, _CHUNK_CELLS // (Y.rank(0) * cycles.shape[1])))
     for lo in range(0, len(f0_stack), step):
-        images = _kernels.mat_mul_many_left(f0_stack[lo : lo + step], cycles, p, fl)
+        images = _kernels.mat_mul(f0_stack[lo : lo + step], cycles, p, fl)
         hit[h0.code(images.transpose(0, 2, 1))] = True
     return h0.spans(np.unique(h0.rep_of[hit]))
 

@@ -32,10 +32,10 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from ._kernels import echelon_mod, enc_add, enc_neg, mat_mul
+from ._kernels import echelon_mod, enc_add, enc_sub, mat_inverse, mat_mul
 from .complexes import ChainComplex, disk, interval, make_complex, require_valid
 from .errors import ChaincellError, UsageError
-from .linalg import MatrixR, inverse_encoded
+from .linalg import MatrixR
 from .ops import direct_sum_all
 from .ring import RingSpec
 
@@ -99,11 +99,10 @@ def minimize(X: ChainComplex) -> MinimizeResult:
         # R = [[1, 0], [-S P^-1, 1]] on degree n-1 give
         # R D C = [[1, 0], [0, T - S P^-1 Q]]
         D_I, D_Ic = D[I], D[Ic]
-        P_inv = inverse_encoded(D_I[:, J], p, fl)
+        P_inv = mat_inverse(D_I[:, J], p, fl)
         Q = D_I[:, Jc]
         SP_inv = mat_mul(D_Ic[:, J], P_inv, p, fl)
-        neg_SP_inv = enc_neg(SP_inv, p, fl)
-        W[n] = enc_add(D_Ic[:, Jc], mat_mul(neg_SP_inv, Q, p, fl), p, fl)
+        W[n] = enc_sub(D_Ic[:, Jc], mat_mul(SP_inv, Q, p, fl), p, fl)
         if np.any(W[n] % p):
             raise ChaincellError(f"Schur complement in d{n} has a unit entry")
         if n + 1 < n_degrees:
@@ -120,13 +119,13 @@ def minimize(X: ChainComplex) -> MinimizeResult:
         U_P_inv = mat_mul(U[n][:, J], P_inv, p, fl)
         U_disk[n].append(U_P_inv)
         Uinv_disk[n].append(mat_mul(D_I, Uinv[n], p, fl))
-        U[n] = enc_add(U[n][:, Jc], enc_neg(mat_mul(U_P_inv, Q, p, fl), p, fl), p, fl)
+        U[n] = enc_sub(U[n][:, Jc], mat_mul(U_P_inv, Q, p, fl), p, fl)
         Uinv[n] = Uinv[n][Jc]
         # degree n-1: U <- U R^-1, Uinv <- R Uinv
         m = n - 1
         U_disk[m].append(enc_add(U[m][:, I], mat_mul(U[m][:, Ic], SP_inv, p, fl), p, fl))
         Uinv_disk[m].append(Uinv[m][I])
-        Uinv[m] = enc_add(Uinv[m][Ic], mat_mul(neg_SP_inv, Uinv[m][I], p, fl), p, fl)
+        Uinv[m] = enc_sub(Uinv[m][Ic], mat_mul(SP_inv, Uinv[m][I], p, fl), p, fl)
         U[m] = U[m][:, Ic]
         disks += [n] * s
 

@@ -9,19 +9,27 @@ Elements are written ``a + b*r`` with a, b in [0, p); the pair (a, b) is
 the unique canonical representation in either flavor, and an element is
 a unit exactly when a != 0.  The prime p is at most ``MAX_P`` = 251,
 the bound under which the int64 kernels are exact.
+
+``RingElement`` arithmetic runs on the packed value a + p*b through the
+same ``_kernels`` functions as the matrices, so the two flavours'
+rules (they differ only in whether the residue carries into the
+r-part) are written once, there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._kernels import FLAVOR_DUAL, FLAVOR_ZPSQ, MAX_P
+import numpy as np
+
+from . import _kernels
+from ._kernels import MAX_P
 from .errors import DomainError, UsageError
 
 ZPSQ = "zpsq"
 DUAL = "dual"
 
-_FLAVOR_CODES = {DUAL: FLAVOR_DUAL, ZPSQ: FLAVOR_ZPSQ}
+_FLAVOR_CODES = {DUAL: _kernels.FLAVOR_DUAL, ZPSQ: _kernels.FLAVOR_ZPSQ}
 
 
 def is_prime(n: int) -> bool:
@@ -95,7 +103,8 @@ def parse_ring(text: str) -> RingSpec:
     return RingSpec(flavor, p)
 
 
-def _same_ring(x: "RingElement", y: "RingElement"):
+def check_same_ring(x, y):
+    """Refuse to combine two objects (elements, matrices, complexes) over different rings."""
     if x.ring != y.ring:
         raise UsageError(f"ring mismatch: {x.ring} vs {y.ring}")
 
@@ -118,42 +127,31 @@ class RingElement:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def __add__(self, other: "RingElement") -> "RingElement":
-        _same_ring(self, other)
-        p = self.ring.p
-        if self.ring.flavor == ZPSQ:
-            return self.ring.from_encoded((self.encoded + other.encoded) % (p * p))
-        return RingElement(self.ring, (self.a + other.a) % p, (self.b + other.b) % p)
+    def _combine(self, kernel, other: "RingElement") -> "RingElement":
+        check_same_ring(self, other)
+        ring = self.ring
+        return ring.from_encoded(int(kernel(self.encoded, other.encoded, ring.p, ring.flavor_code)))
 
-    def __neg__(self) -> "RingElement":
-        p = self.ring.p
-        if self.ring.flavor == ZPSQ:
-            return self.ring.from_encoded(-self.encoded % (p * p))
-        return RingElement(self.ring, -self.a % p, -self.b % p)
+    def __add__(self, other: "RingElement") -> "RingElement":
+        return self._combine(_kernels.enc_add, other)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
+        return self._combine(_kernels.enc_sub, other)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        _same_ring(self, other)
-        p = self.ring.p
-        if self.ring.flavor == ZPSQ:
-            return self.ring.from_encoded(self.encoded * other.encoded % (p * p))
-        return RingElement(
-            self.ring,
-            self.a * other.a % p,
-            (self.a * other.b + self.b * other.a) % p,
-        )
+        return self._combine(_kernels.enc_mul, other)
+
+    def __neg__(self) -> "RingElement":
+        ring = self.ring
+        return ring.from_encoded(int(_kernels.enc_neg(self.encoded, ring.p, ring.flavor_code)))
 
     def inverse(self) -> "RingElement":
         """Multiplicative inverse; defined exactly on units."""
         if not self.is_unit():
             raise DomainError(f"{self} is not a unit")
-        p = self.ring.p
-        if self.ring.flavor == ZPSQ:
-            return self.ring.from_encoded(pow(self.encoded, -1, p * p))
-        ainv = pow(self.a, -1, p)
-        return RingElement(self.ring, ainv, -self.b * ainv * ainv % p)
+        ring = self.ring
+        inv = _kernels.mat_inverse(np.array([[self.encoded]]), ring.p, ring.flavor_code)
+        return ring.from_encoded(int(inv[0, 0]))
 
     def residue(self) -> int:
         """Image in the residue field k = R/m, as an integer in [0, p)."""

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .complexes import ChainComplex, make_complex
 from .errors import InvalidComplexError, UsageError
-from .linalg import from_pairs
+from .linalg import MatrixR
 from .ops import ChainMap, HomComplex, is_chain_map
 from .reduce import Decomposition
 from .ring import RingSpec, parse_ring
@@ -65,7 +67,8 @@ def _parse_matrix(ring: RingSpec, rows, expected_shape, force: bool):
                 raise InvalidComplexError(
                     f"entry {pair} out of range for p={ring.p}"
                 )
-    return from_pairs(ring, rows, shape=shape)
+    pairs = np.array(rows, dtype=np.int64).reshape(shape + (2,))
+    return MatrixR(ring, pairs[..., 0] + ring.p * pairs[..., 1])
 
 
 def complex_from_dict(data, force: bool = False, ring_override: RingSpec = None) -> ChainComplex:
@@ -74,6 +77,8 @@ def complex_from_dict(data, force: bool = False, ring_override: RingSpec = None)
     for key in ("ring", "ranks", "differentials"):
         if key not in data:
             raise InvalidComplexError(f"missing key {key!r}")
+    if not isinstance(data["ring"], str):
+        raise InvalidComplexError("ring must be a string such as 'zpsq:2'")
     ring = parse_ring(data["ring"])
     if ring_override is not None and ring != ring_override:
         raise UsageError(
@@ -83,8 +88,10 @@ def complex_from_dict(data, force: bool = False, ring_override: RingSpec = None)
     if not isinstance(ranks, list) or any(not _is_int(r) or r < 0 for r in ranks):
         raise InvalidComplexError("ranks must be non-negative integers")
     mats_raw = data["differentials"]
+    if not isinstance(mats_raw, list):
+        raise InvalidComplexError("differentials must be a list of matrices")
     expected = max(len(ranks) - 1, 0)
-    if not isinstance(mats_raw, list) or (len(mats_raw) != expected and not force):
+    if len(mats_raw) != expected and not force:
         raise InvalidComplexError(
             f"expected {expected} differentials, found {len(mats_raw)}"
         )
@@ -136,6 +143,8 @@ def chain_map_from_dict(data, force: bool = False, ring_override: RingSpec = Non
     target = complex_from_dict(data["target"], force=force, ring_override=ring_override)
     degrees = max(len(source.ranks), len(target.ranks))
     mats_raw = data["mats"]
+    if not isinstance(mats_raw, list):
+        raise InvalidComplexError("mats must be a list of matrices")
     if len(mats_raw) != degrees and not force:
         raise InvalidComplexError(
             f"expected {degrees} matrices, found {len(mats_raw)}"

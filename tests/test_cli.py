@@ -152,6 +152,29 @@ def test_cli_json_booleans_exit_3(tmp_path, capsys):
             serialize.complex_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"ring": 5, "ranks": [1], "differentials": []}, "ring must be a string"),
+        ({"ring": None, "ranks": [1], "differentials": []}, "ring must be a string"),
+        ({"ring": "zpsq:2", "ranks": [1, 1], "differentials": 5}, "differentials must be a list"),
+        ({"ring": "zpsq:2", "ranks": [], "differentials": {}}, "differentials must be a list"),
+    ],
+)
+def test_cli_malformed_fields_exit_3(tmp_path, capsys, data, message):
+    # a non-string ring and a non-list differentials field crashed the
+    # parser (exit 5), and {} was reported as "expected 0, found 0"
+    assert cli.run(["decompose", _write(tmp_path, "bad.json", data)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_cli_chain_map_mats_not_a_list_exit_3(tmp_path, capsys):
+    X = serialize.complex_to_dict(sphere(Z4, 0))
+    path = _write(tmp_path, "map.json", {"source": X, "target": X, "mats": 5})
+    assert cli.run(["cone", path]) == 3
+    assert "mats must be a list" in capsys.readouterr().err
+
+
 def test_cli_directory_path_exit_2(files, tmp_path, capsys):
     # exit 1 means "relation does not hold"; an unreadable path is a usage error
     assert cli.run(["cell", str(tmp_path), files["E01"]]) == 2

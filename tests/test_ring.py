@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaincell import linalg
+from chaincell import _kernels, linalg
 from chaincell._kernels import MAX_P
 from chaincell.errors import DomainError, UsageError
 from chaincell.ring import RingSpec, lift, parse_ring, times_r
@@ -146,3 +147,104 @@ def test_ring_axioms(ring, i, j, k):
     assert x * (y + z) == x * y + x * z
     assert x + (-x) == ring.zero()
     assert x * ring.one() == x
+
+
+# ---------------------------------------------------------------------------
+# definition-level reference: RingElement delegates to the packed kernels,
+# so both are checked against the rings' definitions, written here without
+# the packed carry rule.  zpsq is integer arithmetic mod p**2 on a + p*b;
+# dual is pairs (a, b) with (a1, b1)(a2, b2) = (a1 a2, a1 b2 + b1 a2) mod p.
+
+
+def _reference(flavor, p):
+    """(add, neg, mul) on packed values v = a + p*b, from the definitions."""
+    if flavor == "zpsq":
+        q = p * p
+        return (lambda x, y: (x + y) % q), (lambda x: -x % q), (lambda x, y: x * y % q)
+
+    def pack(a, b):
+        return a % p + p * (b % p)
+
+    def add(x, y):
+        return pack(x % p + y % p, x // p + y // p)
+
+    def neg(x):
+        return pack(-(x % p), -(x // p))
+
+    def mul(x, y):
+        a1, b1, a2, b2 = x % p, x // p, y % p, y // p
+        return pack(a1 * a2, a1 * b2 + b1 * a2)
+
+    return add, neg, mul
+
+
+def _reference_matmul(A, B, flavor, p):
+    add, _, mul = _reference(flavor, p)
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = 0
+            for k in range(A.shape[1]):
+                acc = add(acc, mul(int(A[i, k]), int(B[k, j])))
+            out[i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("flavor", ["zpsq", "dual"])
+def test_kernels_and_elements_match_definitions(p, flavor):
+    ring = RingSpec(flavor, p)
+    fl = ring.flavor_code
+    add, neg, mul = _reference(flavor, p)
+    values = range(p * p)
+    xs = np.array([x for x in values for _ in values], dtype=np.int64)
+    ys = np.array([y for _ in values for y in values], dtype=np.int64)
+    want_add = [add(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    want_sub = [add(x, neg(y)) for x, y in zip(xs.tolist(), ys.tolist())]
+    want_mul = [mul(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert _kernels.enc_add(xs, ys, p, fl).tolist() == want_add
+    assert _kernels.enc_sub(xs, ys, p, fl).tolist() == want_sub
+    assert _kernels.enc_mul(xs, ys, p, fl).tolist() == want_mul
+    assert _kernels.enc_neg(np.arange(p * p), p, fl).tolist() == [neg(x) for x in values]
+    for x, y, s, d, m in zip(xs.tolist(), ys.tolist(), want_add, want_sub, want_mul):
+        ex, ey = ring.from_encoded(x), ring.from_encoded(y)
+        assert ((ex + ey).encoded, (ex - ey).encoded, (ex * ey).encoded) == (s, d, m)
+    for x in values:
+        ex = ring.from_encoded(x)
+        assert (-ex).encoded == neg(x)
+        inverses = [y for y in values if mul(x, y) == 1]  # exhaustive search
+        if not inverses:
+            with pytest.raises(DomainError):
+                ex.inverse()
+            continue
+        assert [ex.inverse().encoded] == inverses
+        assert _kernels.mat_inverse(np.array([[x]]), p, fl).tolist() == [inverses]
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+@pytest.mark.parametrize("flavor", ["zpsq", "dual"])
+def test_mat_mul_and_inverse_match_definitions(p, flavor):
+    fl = RingSpec(flavor, p).flavor_code
+    rng = np.random.default_rng(p)
+    q = p * p
+    for m, k, n in [(1, 1, 1), (4, 5, 3), (3, 0, 2), (6, 6, 6)]:
+        A = rng.integers(0, q, size=(m, k))
+        B = rng.integers(0, q, size=(k, n))
+        assert np.array_equal(_kernels.mat_mul(A, B, p, fl), _reference_matmul(A, B, flavor, p))
+        # stacks broadcast from either side, as np.matmul does
+        As = rng.integers(0, q, size=(3, m, k))
+        Bs = rng.integers(0, q, size=(3, k, n))
+        got_left = _kernels.mat_mul(As, B, p, fl)
+        got_right = _kernels.mat_mul(A, Bs, p, fl)
+        for t in range(3):
+            assert np.array_equal(got_left[t], _reference_matmul(As[t], B, flavor, p))
+            assert np.array_equal(got_right[t], _reference_matmul(A, Bs[t], flavor, p))
+    for n in [1, 3, 6]:
+        # unit diagonal plus an m-part and a strictly upper residue: invertible
+        A = np.triu(rng.integers(0, p, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+        A = A + p * rng.integers(0, p, size=(n, n))
+        perm = rng.permutation(n)
+        A = A[perm]
+        inv = _kernels.mat_inverse(A, p, fl)
+        assert np.array_equal(_reference_matmul(A, inv, flavor, p), np.eye(n, dtype=np.int64))
+        assert np.array_equal(_reference_matmul(inv, A, flavor, p), np.eye(n, dtype=np.int64))
