@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from ._kernels import echelon_mod, enc_add, enc_sub, mat_inverse, mat_mul
+from ._kernels import echelon_mod, enc_add, enc_sub, mat_inverse, mat_mul, matmul_exact
 from .complexes import ChainComplex, disk, interval, make_complex, require_valid
 from .errors import ChaincellError, UsageError
 from .linalg import MatrixR
@@ -167,7 +167,7 @@ def verify_certificates(X: ChainComplex, result: MinimizeResult) -> bool:
 
 def _require_minimal(M: ChainComplex):
     for n in range(1, len(M.ranks)):
-        if linalg.find_unit_pivot(M.d(n)) is not None:
+        if (M.d(n).data % M.ring.p).any():
             raise UsageError(f"complex is not minimal: unit entry in d{n}")
 
 
@@ -211,7 +211,7 @@ def rho_table(M: ChainComplex) -> dict:
     tags = np.zeros(0, dtype=np.intp)
     for n in range(M.top, 0, -1):
         B = parts[n].data
-        columns = np.hstack([(B @ basis) % p, B])
+        columns = np.hstack([matmul_exact(B, basis, p) % p, B])
         _, _, pivots, _ = echelon_mod(columns, p)
         basis = columns[:, pivots]
         tags = np.concatenate([tags, np.full(B.shape[1], n, dtype=np.intp)])[pivots]

@@ -1,0 +1,128 @@
+"""The one-pass F_p elimination against the per-pivot loop it replaced.
+
+``_reference_echelon`` reduces the whole matrix mod p and swaps whole
+rows at every pivot; ``_kernels.echelon_mod`` must return the same
+rank, pivot rows, pivot columns and reduced matrix, byte for byte.
+"""
+
+import numpy as np
+import pytest
+
+from chaincell import _kernels
+from chaincell._kernels import echelon_mod, mat_inverse, rank_mod
+from chaincell.errors import UsageError
+
+PRIMES = [2, 3, 5, 251]
+
+
+def _reference_echelon(M, p):
+    A = np.ascontiguousarray(M % p, dtype=np.int64).copy()
+    rows, cols = A.shape
+    order = list(range(rows))
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+            order[r], order[piv] = order[piv], order[r]
+        inv = pow(int(A[r, c]), -1, p)
+        A[r] = (A[r] * inv) % p
+        col = A[:, c].copy()
+        col[r] = 0
+        A = (A - np.outer(col, A[r])) % p
+        pivot_cols.append(c)
+        r += 1
+    return r, np.array(order[:r], dtype=np.intp), np.array(pivot_cols, dtype=np.intp), A
+
+
+def _assert_same_echelon(M, p):
+    got, want = echelon_mod(M, p), _reference_echelon(M, p)
+    assert got[0] == want[0] == rank_mod(M, p)
+    for g, w in zip(got[1:], want[1:]):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.flags.c_contiguous
+        assert g.tobytes() == w.tobytes()
+    return got
+
+
+def _random_rank(rng, p, rows, cols, rank):
+    return rng.integers(0, p, size=(rows, rank)) @ rng.integers(0, p, size=(rank, cols)) % p
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_echelon_matches_reference_on_random_matrices(p):
+    rng = np.random.default_rng(p)
+    for _ in range(60):
+        rows, cols = rng.integers(1, 25, size=2)
+        _assert_same_echelon(rng.integers(0, p, size=(rows, cols)), p)  # mostly full rank
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        _assert_same_echelon(_random_rank(rng, p, rows, cols, rank), p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_echelon_matches_reference_with_zero_columns(p):
+    rng = np.random.default_rng(100 + p)
+    for _ in range(40):
+        rows, cols = rng.integers(1, 20, size=2)
+        M = _random_rank(rng, p, rows, cols, int(rng.integers(0, min(rows, cols) + 1)))
+        M[:, rng.random(cols) < 0.6] = 0
+        M[:, rng.random(cols) < 0.2] *= p  # zero mod p, but not zero
+        _assert_same_echelon(M, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_echelon_matches_reference_on_unreduced_entries(p):
+    rng = np.random.default_rng(200 + p)
+    for _ in range(40):
+        rows, cols = rng.integers(1, 20, size=2)
+        M = rng.integers(-3 * p * p, 3 * p * p, size=(rows, cols))
+        _assert_same_echelon(M, p)
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        _assert_same_echelon(_random_rank(rng, p, rows, cols, rank) - p * p, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+def test_echelon_matches_reference_on_empty_shapes(p, shape):
+    rank, rows, cols, reduced = _assert_same_echelon(np.zeros(shape, dtype=np.int64), p)
+    assert (rank, rows.size, cols.size, reduced.shape) == (0, 0, 0, shape)
+
+
+def test_echelon_matches_reference_dense_large():
+    # 300 pivots of lazy growth at p = 251, full and one short of full rank
+    p = 251
+    rng = np.random.default_rng(300)
+    M = rng.integers(0, p, size=(300, 300))
+    assert _assert_same_echelon(M, p)[0] == 300
+    M[:, -1] = M[:, :-1] @ rng.integers(0, p, size=299) % p
+    assert _assert_same_echelon(M, p)[0] == 299
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mat_inverse_elimination_of_A_and_identity(p):
+    # mat_inverse reads the residue inverse off the elimination of [A | I]
+    rng = np.random.default_rng(400 + p)
+    for n in [1, 2, 5, 12]:
+        while True:
+            A = rng.integers(0, p * p, size=(n, n))
+            if _reference_echelon(A, p)[0] == n:
+                break
+        eye = np.eye(n, dtype=np.int64)
+        rank, _, pivot_cols, reduced = _assert_same_echelon(np.hstack([A, eye]), p)
+        assert rank == n and pivot_cols.tolist() == list(range(n))
+        assert np.array_equal(reduced[:, :n], eye)
+        assert np.array_equal(A @ reduced[:, n:] % p, eye)
+        for flavor in (_kernels.FLAVOR_DUAL, _kernels.FLAVOR_ZPSQ):
+            assert np.array_equal(mat_inverse(A, p, flavor) % p, reduced[:, n:])
+        singular = A.copy()
+        singular[-1] = singular[0] * (p - 1) % p
+        _assert_same_echelon(np.hstack([singular, eye]), p)
+        if n > 1:
+            with pytest.raises(UsageError, match="singular"):
+                mat_inverse(singular, p, _kernels.FLAVOR_ZPSQ)

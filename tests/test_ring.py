@@ -248,3 +248,39 @@ def test_mat_mul_and_inverse_match_definitions(p, flavor):
         inv = _kernels.mat_inverse(A, p, fl)
         assert np.array_equal(_reference_matmul(A, inv, flavor, p), np.eye(n, dtype=np.int64))
         assert np.array_equal(_reference_matmul(inv, A, flavor, p), np.eye(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+@pytest.mark.parametrize("flavor", ["zpsq", "dual"])
+@pytest.mark.parametrize("min_inner, float64", [(0, True), (10**9, False)])
+def test_mat_mul_float64_and_int64_branches(p, flavor, min_inner, float64, monkeypatch):
+    # the size threshold forces one branch; both must match the triple loop
+    monkeypatch.setattr(_kernels, "FLOAT64_MIN_INNER", min_inner)
+    fl = RingSpec(flavor, p).flavor_code
+    rng = np.random.default_rng(p + 7 * fl)
+    q = p * p
+    for m, k, n in [(1, 1, 1), (4, 5, 3), (3, 0, 2), (2, 20, 3), (5, 40, 4)]:
+        assert _kernels._float64_product(k, p) is float64
+        A = rng.integers(0, q, size=(m, k))
+        A[0] = q - 1  # the largest entries, where a float64 sum would round first
+        B = rng.integers(0, q, size=(k, n))
+        assert np.array_equal(_kernels.mat_mul(A, B, p, fl), _reference_matmul(A, B, flavor, p))
+        As = rng.integers(0, q, size=(3, m, k))
+        Bs = rng.integers(0, q, size=(3, k, n))
+        got_left = _kernels.mat_mul(As, B, p, fl)
+        got_right = _kernels.mat_mul(A, Bs, p, fl)
+        assert got_left.dtype == got_right.dtype == np.int64
+        for t in range(3):
+            assert np.array_equal(got_left[t], _reference_matmul(As[t], B, flavor, p))
+            assert np.array_equal(got_right[t], _reference_matmul(A, Bs[t], flavor, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_float64_product_bound(p):
+    # the largest inner dimension whose sums of products below p**2 stay
+    # under 2**53; one more falls back to int64 (checked without an array)
+    n = (2**53 - 1) // (p * p - 1) ** 2
+    assert n * (p * p - 1) ** 2 < 2**53 <= (n + 1) * (p * p - 1) ** 2
+    assert _kernels._float64_product(n, p)
+    assert not _kernels._float64_product(n + 1, p)
+    assert not _kernels._float64_product(_kernels.FLOAT64_MIN_INNER - 1, p)
