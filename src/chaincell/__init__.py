@@ -12,7 +12,6 @@ from .complexes import (
     brute_homology,
     disk,
     empty,
-    homology,
     interval,
     make_complex,
     sphere,
@@ -30,7 +29,6 @@ from .linalg import (
     MatrixK,
     MatrixR,
     apply_basis_change,
-    find_unit_pivot,
     is_invertible,
     matmul,
     matmul_k,
@@ -71,6 +69,7 @@ from .reduce import (
     bottom_degree,
     composite_rank,
     decompose,
+    homology,
     minimize,
     reconstruct,
     rho_table,

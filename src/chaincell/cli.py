@@ -117,7 +117,7 @@ def _cmd_validate(args):
 
 def _cmd_homology(args):
     X = _load(args)
-    hs = complexes.homology(X)
+    hs = reduce.homology(X)
     lines = [f"H_{n} = {d}" for n, d in enumerate(hs)]
     _emit(args, serialize.homology_to_list(hs), lines or ["zero complex"])
     return 0

@@ -1,13 +1,13 @@
-"""Bounded chain complexes of finite free modules, and their homology.
+"""Bounded chain complexes of finite free modules, and brute-force homology.
 
 A complex is a rank vector indexed by degree 0..N (trailing zeros
 trimmed, so the empty complex is canonical) plus one differential
 matrix per positive degree, with d(n) of shape ranks[n-1] x ranks[n]
 and d(n) @ d(n+1) = 0.
 
-Homology groups over these rings are always of the form R^a (+) k^b;
-``homology`` computes them through the interval decomposition, and
-``brute_homology`` recomputes them by elementwise enumeration so the
+Homology groups over these rings are always of the form R^a (+) k^b
+(``ModuleDescriptor``); ``reduce.homology`` reads them off the barcode,
+and ``brute_homology`` recomputes them by elementwise enumeration so the
 shortcut can be checked against the definition.
 """
 
@@ -152,7 +152,7 @@ def interval(ring: RingSpec, i: int, j: int) -> ChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# homology
+# module descriptors
 
 
 @dataclass(frozen=True)
@@ -202,22 +202,6 @@ def _plog(p: int, n: int) -> int:
             raise ChaincellError(f"cardinality not a power of p={p}")
         e += 1
     return e
-
-
-def homology(X: ChainComplex) -> list:
-    """H_n as ModuleDescriptors, degree 0..top, via the decomposition."""
-    require_valid(X)
-    from . import reduce as _reduce
-
-    dec = _reduce.decompose(X)
-    out = [[0, 0] for _ in range(len(X.ranks))]
-    for (i, j), mult in dec.intervals.items():
-        if j == 0:
-            out[i][0] += mult
-        else:
-            out[i][1] += mult
-            out[i + j][1] += mult
-    return [ModuleDescriptor(a, b) for a, b in out]
 
 
 # ---------------------------------------------------------------------------

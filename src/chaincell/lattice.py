@@ -18,7 +18,7 @@ from typing import Optional
 
 from .complexes import ChainComplex
 from .errors import UsageError
-from .reduce import decompose
+from .reduce import barcode, minimize
 from .ring import check_same_ring
 
 
@@ -46,10 +46,7 @@ class Verdict:
 
 def min_pair(X: ChainComplex) -> Optional[tuple]:
     """Lex-least interval (i, j) of X; None when X is contractible."""
-    intervals = decompose(X).intervals
-    if not intervals:
-        return None
-    return min(intervals)
+    return min(barcode(minimize(X).minimal), default=None)
 
 
 def generator_relation(i: int, j: int, i2: int, j2: int) -> bool:

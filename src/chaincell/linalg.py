@@ -10,7 +10,6 @@ immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -157,15 +156,6 @@ def transpose(A: MatrixR) -> MatrixR:
 
 def rank_k(A: MatrixK) -> int:
     return int(_kernels.rank_mod(A.data, A.p))
-
-
-def find_unit_pivot(A: MatrixR) -> Optional[tuple]:
-    """Position of the first unit entry in row-major order, if any."""
-    units = np.flatnonzero(A.data % A.ring.p)
-    if units.size == 0:
-        return None
-    idx = int(units[0])
-    return divmod(idx, A.cols)
 
 
 def apply_basis_change(A: MatrixR, P: MatrixR, Q: MatrixR) -> MatrixR:

@@ -36,7 +36,6 @@ from .complexes import (
     _all_vectors,
     _keys,
     brute_homology,
-    homology,
     make_complex,
     module_from_sizes,
     require_valid,
@@ -45,7 +44,7 @@ from .errors import DomainError, GuardExceeded, UsageError
 from .lattice import is_cellular
 from .linalg import MatrixR
 from .ops import ChainMap, desuspend
-from .reduce import minimize
+from .reduce import homology, minimize
 
 
 # Chunked enumerations hold at most about this many entries per chunk.

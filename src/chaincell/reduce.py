@@ -5,14 +5,16 @@ F_p row echelon of the residue of the live differential finds a unit
 block P, one pivot per embedded disk; the Gaussian elimination lemma
 (Bar-Natan, "Fast Khovanov homology computations", 2007, Lemma 4.2)
 splits all of them off in one invertible block change and leaves the
-Schur complement T - S*P^-1*Q, whose residue is zero.  What remains is
-minimal (all differential entries in the maximal ideal) and decomposes
-into interval summands; ``barcode`` counts them through the
+Schur complement T - S*P^-1*Q, whose residue is zero; the steps are
+recorded and multiplied out into certificates only when read.  What
+remains is minimal (all differential entries in the maximal ideal) and
+decomposes into interval summands; ``barcode`` counts them through the
 composite-rank table rho(a, b) = rank over k of B_{a+1} ... B_b, where
 d = r*B on a minimal complex.  A summand spanning degrees [i, i+j]
 contributes one to rho(a, b) exactly when i <= a <= b <= i+j, so
 inclusion-exclusion on rho recovers the multiplicities, an exact count
 equivalent to peeling off one lowest interval summand at a time.
+``homology`` and ``lattice.min_pair`` read only this barcode.
 
 ``rho_table`` reads the whole table from one sweep down the degrees,
 one F_p elimination per degree: it carries a basis of the image in V_n
@@ -26,14 +28,15 @@ definition as an independent check.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import linalg
 from ._kernels import echelon_mod, enc_add, enc_sub, mat_inverse, mat_mul, matmul_exact
-from .complexes import ChainComplex, disk, interval, make_complex, require_valid
+from .complexes import ChainComplex, ModuleDescriptor, disk, interval, make_complex, require_valid
 from .errors import ChaincellError, UsageError
 from .linalg import MatrixR
 from .ops import direct_sum_all
@@ -44,15 +47,47 @@ from .ring import RingSpec
 class MinimizeResult:
     minimal: ChainComplex
     disks: tuple  # degrees, ascending
-    certificates: list  # per input degree: (U, Uinv) MatrixR pairs
+    input_ranks: tuple = field(repr=False, compare=False)
+    steps: list = field(repr=False, compare=False)  # (n, I, J, P_inv, Q, SP_inv, D_I)
+
+    @cached_property
+    def certificates(self) -> list:
+        """Per input degree (U, Uinv), multiplied out from the steps on first read."""
+        ring = self.minimal.ring
+        p, fl = ring.p, ring.flavor_code
+        U = [np.eye(r, dtype=np.int64) for r in self.input_ranks]
+        Uinv = [np.eye(r, dtype=np.int64) for r in self.input_ranks]
+        # retired basis per degree: disk tops (split at n) then disk bottoms (at n+1)
+        U_disk = [[] for _ in self.input_ranks]
+        Uinv_disk = [[] for _ in self.input_ranks]
+        for n, I, J, P_inv, Q, SP_inv, D_I in self.steps:
+            m = n - 1
+            Ic, Jc = _complement(I, U[m].shape[1]), _complement(J, U[n].shape[1])
+            # degree n: U <- U C, Uinv <- C^-1 Uinv
+            U_P_inv = mat_mul(U[n][:, J], P_inv, p, fl)
+            U_disk[n].append(U_P_inv)
+            Uinv_disk[n].append(mat_mul(D_I, Uinv[n], p, fl))
+            U[n] = enc_sub(U[n][:, Jc], mat_mul(U_P_inv, Q, p, fl), p, fl)
+            Uinv[n] = Uinv[n][Jc]
+            # degree n-1: U <- U R^-1, Uinv <- R Uinv
+            U_disk[m].append(enc_add(U[m][:, I], mat_mul(U[m][:, Ic], SP_inv, p, fl), p, fl))
+            Uinv_disk[m].append(Uinv[m][I])
+            Uinv[m] = enc_sub(Uinv[m][Ic], mat_mul(SP_inv, Uinv[m][I], p, fl), p, fl)
+            U[m] = U[m][:, Ic]
+        return [
+            (
+                MatrixR(ring, np.hstack([U[m]] + U_disk[m])),
+                MatrixR(ring, np.vstack([Uinv[m]] + Uinv_disk[m])),
+            )
+            for m in range(len(self.input_ranks))
+        ]
 
 
 @dataclass
 class Decomposition:
     intervals: Counter  # (i, j) -> multiplicity
     disks: Counter  # degree -> multiplicity
-    certificates: Optional[list]
-    minimal: Optional[ChainComplex]
+    minimal: ChainComplex
 
     def interval_list(self):
         return sorted(self.intervals.elements())
@@ -79,15 +114,9 @@ def minimize(X: ChainComplex) -> MinimizeResult:
     require_valid(X)
     p, fl = X.ring.p, X.ring.flavor_code
     n_degrees = len(X.ranks)
-    # live differentials, and per degree the live columns of U and rows of
-    # Uinv; invariant: W[n] == Uinv[n-1] @ d_n(original) @ U[n] on live parts
+    # live differentials: W[n] is d_n in the basis built by the steps so far
     W = [None] + [X.d(n).data for n in range(1, n_degrees)]
-    U = [np.eye(r, dtype=np.int64) for r in X.ranks]
-    Uinv = [np.eye(r, dtype=np.int64) for r in X.ranks]
-    # retired basis per degree: disk tops (split at n) then disk bottoms (at n+1)
-    U_disk = [[] for _ in range(n_degrees)]
-    Uinv_disk = [[] for _ in range(n_degrees)]
-    disks = []
+    steps, disks = [], []
     for n in range(1, n_degrees):
         D = W[n]
         if not np.any(D % p):
@@ -115,31 +144,14 @@ def minimize(X: ChainComplex) -> MinimizeResult:
             if np.any(out):  # I columns of W[n-1] R^-1
                 raise ChaincellError("split disk has an outgoing differential")
             W[n - 1] = prev[:, Ic]
-        # degree n: U <- U C, Uinv <- C^-1 Uinv
-        U_P_inv = mat_mul(U[n][:, J], P_inv, p, fl)
-        U_disk[n].append(U_P_inv)
-        Uinv_disk[n].append(mat_mul(D_I, Uinv[n], p, fl))
-        U[n] = enc_sub(U[n][:, Jc], mat_mul(U_P_inv, Q, p, fl), p, fl)
-        Uinv[n] = Uinv[n][Jc]
-        # degree n-1: U <- U R^-1, Uinv <- R Uinv
-        m = n - 1
-        U_disk[m].append(enc_add(U[m][:, I], mat_mul(U[m][:, Ic], SP_inv, p, fl), p, fl))
-        Uinv_disk[m].append(Uinv[m][I])
-        Uinv[m] = enc_sub(Uinv[m][Ic], mat_mul(SP_inv, Uinv[m][I], p, fl), p, fl)
-        U[m] = U[m][:, Ic]
+        steps.append((n, I, J, P_inv, Q, SP_inv, D_I))
         disks += [n] * s
 
-    m_ranks = [U[m].shape[1] for m in range(n_degrees)]
+    # a disk split at n takes one basis vector from degrees n and n-1
+    m_ranks = [r - disks.count(m) - disks.count(m + 1) for m, r in enumerate(X.ranks)]
     m_diffs = [MatrixR(X.ring, W[n]) for n in range(1, n_degrees)]
     minimal = make_complex(X.ring, m_ranks, m_diffs, check=False)
-    certificates = [
-        (
-            MatrixR(X.ring, np.hstack([U[m]] + U_disk[m])),
-            MatrixR(X.ring, np.vstack([Uinv[m]] + Uinv_disk[m])),
-        )
-        for m in range(n_degrees)
-    ]
-    return MinimizeResult(minimal, tuple(disks), certificates)
+    return MinimizeResult(minimal, tuple(disks), X.ranks, steps)
 
 
 def verify_certificates(X: ChainComplex, result: MinimizeResult) -> bool:
@@ -251,7 +263,7 @@ def decompose(X: ChainComplex) -> Decomposition:
     mr = minimize(X)
     table = rho_table(mr.minimal)
     intervals = _barcode_from_table(table, len(mr.minimal.ranks))
-    dec = Decomposition(intervals, Counter(mr.disks), mr.certificates, mr.minimal)
+    dec = Decomposition(intervals, Counter(mr.disks), mr.minimal)
 
     for n in range(len(X.ranks)):
         covering = sum(m for (i, j), m in intervals.items() if i <= n <= i + j)
@@ -276,10 +288,23 @@ def reconstruct(dec: Decomposition, ring: RingSpec) -> ChainComplex:
     return direct_sum_all(ring, summands)
 
 
+def homology(X: ChainComplex) -> list:
+    """H_n as ModuleDescriptors, degree 0..top, from the minimal part's barcode.
+
+    An interval (i, 0) gives a copy of R in degree i; a longer interval
+    gives one copy of k at each end.  Invalid input is refused by
+    ``minimize``.
+    """
+    out = [[0, 0] for _ in range(len(X.ranks))]
+    for (i, j), mult in barcode(minimize(X).minimal).items():
+        if j == 0:
+            out[i][0] += mult
+        else:
+            out[i][1] += mult
+            out[i + j][1] += mult
+    return [ModuleDescriptor(a, b) for a, b in out]
+
+
 def bottom_degree(X: ChainComplex) -> Optional[int]:
     """Lowest degree of the minimal model; None when X is contractible."""
-    minimal = minimize(X).minimal
-    for n, r in enumerate(minimal.ranks):
-        if r:
-            return n
-    return None
+    return next((n for n, r in enumerate(minimize(X).minimal.ranks) if r), None)

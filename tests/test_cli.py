@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from chaincell import cli, linalg, serialize
@@ -239,6 +240,26 @@ def test_cli_rand_allow_units(capsys):
     assert cli.run(["rand", "--seed", "3", "--allow-units", "--max-degree", "2"]) == 0
     X = serialize.complex_from_dict(json.loads(capsys.readouterr().out))
     assert validate(X) is None
+
+
+def test_cli_large_rank_without_differentials(tmp_path, monkeypatch, capsys):
+    # rank 200000 in one degree: the answers need no rank x rank array, so
+    # building one (the identity a certificate starts from) is a failure
+    eye = np.eye
+
+    def small_eye(n, *args, **kwargs):
+        if n > 1000:
+            raise AssertionError(f"np.eye({n}) called")
+        return eye(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "eye", small_eye)
+    big = _write(tmp_path, "big.json", {"ring": "zpsq:2", "ranks": [200000], "differentials": []})
+    assert cli.run(["homology", big]) == 0
+    assert capsys.readouterr().out == "[[200000,0]]\n"
+    assert cli.run(["cell", big, big]) == 0
+    assert json.loads(capsys.readouterr().out)["minPairX"] == [0, 0]
+    assert cli.run(["minimize", big]) == 0
+    assert json.loads(capsys.readouterr().out)["minimal"]["ranks"] == [200000]
 
 
 def test_cli_homology_and_minimize(files, capsys):

@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
-from chaincell.complexes import disk, empty, homology, interval, sphere
+from chaincell import disk, empty, homology, interval, sphere
 from chaincell.errors import UsageError
 from chaincell.lattice import generator_relation, is_acyclic_over, is_cellular, min_pair
 from chaincell.ops import direct_sum, direct_sum_all, shift
-from chaincell.reduce import decompose
+from chaincell.reduce import bottom_degree, decompose
 from chaincell.ring import RingSpec
 
 from conftest import bounded_random_complex
@@ -114,6 +114,9 @@ def test_summand_selection_monotone(ring, rng):
     for _ in range(20):
         X = bounded_random_complex(ring, rng)
         dec = decompose(X)
+        # both barcode readers bypass decompose; they must agree with it
+        assert min_pair(X) == min(dec.intervals, default=None)
+        assert bottom_degree(X) == (min_pair(X) or (None,))[0]
         pieces = dec.interval_list()
         if not pieces:
             continue

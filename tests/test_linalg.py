@@ -59,22 +59,6 @@ def test_rank_invariant_under_invertible_ops(ring, rng):
         assert linalg.rank_k(conj.residue()) == linalg.rank_k(A.residue())
 
 
-def test_find_unit_pivot_scan_order():
-    r, one = Z4.r(), Z4.one()
-    A = linalg.from_elements(Z4, [[r, one], [Z4.zero(), r]])
-    assert linalg.find_unit_pivot(A) == (0, 1)
-    all_m = linalg.from_elements(Z4, [[r, r], [r, Z4.zero()]])
-    assert linalg.find_unit_pivot(all_m) is None
-    assert linalg.find_unit_pivot(linalg.zeros(Z4, 0, 5)) is None
-
-
-def test_find_unit_pivot_iff_nonzero_residue(ring, rng):
-    for _ in range(200):
-        A = _rand_matrix(ring, rng, 3, 3)
-        has_unit = linalg.find_unit_pivot(A) is not None
-        assert has_unit == bool(np.any(A.residue().data))
-
-
 def test_is_invertible():
     assert linalg.is_invertible(linalg.identity(Z4, 4))
     r = Z4.r()

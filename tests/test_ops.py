@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from chaincell import linalg
-from chaincell.complexes import disk, empty, homology, interval, sphere, validate
+from chaincell import disk, empty, homology, interval, linalg, sphere, validate
 from chaincell.errors import UsageError
 from chaincell.ops import (
     ChainMap,

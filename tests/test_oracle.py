@@ -3,18 +3,19 @@ import itertools
 import numpy as np
 import pytest
 
-from chaincell import linalg, oracle
-from chaincell._kernels import enc_add, mat_mul
-from chaincell.complexes import (
+from chaincell import (
     disk,
     empty,
     homology,
     interval,
+    linalg,
     make_complex,
-    module_from_sizes,
+    oracle,
     sphere,
     validate,
 )
+from chaincell._kernels import enc_add, mat_mul
+from chaincell.complexes import module_from_sizes
 from chaincell.errors import DomainError, GuardExceeded, UsageError
 from chaincell.ops import direct_sum, is_chain_map, shift
 from chaincell.oracle import (

@@ -3,8 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from chaincell import linalg, reduce
-from chaincell.complexes import disk, empty, homology, interval, make_complex, sphere
+from chaincell import disk, empty, homology, interval, linalg, make_complex, reduce, sphere
 from chaincell.errors import ChaincellError, UsageError
 from chaincell.ops import direct_sum, direct_sum_all, shift
 from chaincell.reduce import (
@@ -207,7 +206,7 @@ def test_minimize_idempotent_and_minimal(ring, rng):
         X = bounded_random_complex(ring, rng)
         result = minimize(X)
         for n in range(1, len(result.minimal.ranks)):
-            assert linalg.find_unit_pivot(result.minimal.d(n)) is None
+            assert not np.any(result.minimal.d(n).data % ring.p)
         again = minimize(result.minimal)
         assert again.disks == ()
         assert again.minimal == result.minimal
