@@ -117,19 +117,14 @@ def sphere(ring: RingSpec, n: int) -> ChainComplex:
     """Rank one in degree n only."""
     if n < 0:
         raise DomainError("sphere degree must be >= 0")
-    ranks = [0] * n + [1]
-    diffs = [linalg.zeros(ring, ranks[k], ranks[k + 1]) for k in range(n)]
-    return ChainComplex(ring, tuple(ranks), tuple(diffs))
+    return interval_sum(ring, [(n, 0)])
 
 
 def disk(ring: RingSpec, n: int) -> ChainComplex:
     """Rank one in degrees n and n-1 with identity differential."""
     if n < 1:
         raise DomainError("disk degree must be >= 1 (degree -1 does not exist)")
-    ranks = [0] * (n - 1) + [1, 1]
-    diffs = [linalg.zeros(ring, ranks[k], ranks[k + 1]) for k in range(len(ranks) - 1)]
-    diffs[-1] = linalg.identity(ring, 1)
-    return ChainComplex(ring, tuple(ranks), tuple(diffs))
+    return interval_sum(ring, [], [n])
 
 
 def interval(ring: RingSpec, i: int, j: int) -> ChainComplex:
@@ -140,15 +135,35 @@ def interval(ring: RingSpec, i: int, j: int) -> ChainComplex:
     """
     if i < 0 or j < 0:
         raise DomainError("interval parameters must be >= 0")
-    ranks = [0] * i + [1] * (j + 1)
-    gen = ring.r() if i % 2 == 0 else -ring.r()
+    return interval_sum(ring, [(i, j)])
+
+
+def interval_sum(ring: RingSpec, intervals, disks=()) -> ChainComplex:
+    """Direct sum of interval(i, j) for each (i, j), then disk(n) for each n.
+
+    Built in one pass without the summands: each takes the next basis
+    vector of every degree it spans and one entry in each differential it
+    spans, (-1)^i r for an interval and 1 for a disk.
+    """
+    signed_r = (ring.element(0, 1).encoded, ring.element(0, -1).encoded)  # r, -r
+    spans = [(i, i + j, signed_r[i % 2]) for i, j in intervals]
+    spans += [(n - 1, n, 1) for n in disks]
+    ranks = [0] * (max((hi for _, hi, _ in spans), default=-1) + 1)
+    entries = [[] for _ in ranks]  # entries[n]: (row, column, value) in d_n
+    for lo, hi, value in spans:
+        if lo < 0 or hi < lo:
+            raise DomainError("interval parameters must be >= 0 and disk degrees >= 1")
+        for n in range(lo, hi + 1):
+            if n > lo:
+                entries[n].append((ranks[n - 1] - 1, ranks[n], value))
+            ranks[n] += 1
     diffs = []
-    for k in range(len(ranks) - 1):
-        if ranks[k] and ranks[k + 1]:
-            diffs.append(linalg.from_elements(ring, [[gen]]))
-        else:
-            diffs.append(linalg.zeros(ring, ranks[k], ranks[k + 1]))
-    return ChainComplex(ring, tuple(ranks), tuple(diffs))
+    for n in range(1, len(ranks)):
+        data = np.zeros((ranks[n - 1], ranks[n]), dtype=np.int64)
+        for row, col, value in entries[n]:
+            data[row, col] = value
+        diffs.append(MatrixR(ring, data))
+    return make_complex(ring, ranks, diffs, check=False)
 
 
 # ---------------------------------------------------------------------------

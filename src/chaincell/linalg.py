@@ -9,6 +9,7 @@ immutable values.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +55,7 @@ class MatrixR:
     def pairs(self):
         """Entries as [a, b] pairs, row by row (the serialization format)."""
         p = self.ring.p
-        return [
-            [[int(v % p), int(v // p)] for v in row] for row in self.data
-        ]
+        return np.stack((self.data % p, self.data // p), -1).tolist()
 
     def residue(self) -> "MatrixK":
         return MatrixK(self.ring.p, self.data % self.ring.p)
@@ -177,12 +176,20 @@ def inverse_matrix(A: MatrixR) -> MatrixR:
 # block assembly (used by the functorial constructions)
 
 
-def block(ring: RingSpec, grid) -> MatrixR:
-    """Assemble a block matrix from a 2-d grid of MatrixR (shapes must tile)."""
-    rows = []
-    for brow in grid:
-        rows.append(np.hstack([m.data for m in brow]) if brow else np.zeros((0, 0), np.int64))
-    data = np.vstack(rows) if rows else np.zeros((0, 0), np.int64)
+def from_blocks(ring: RingSpec, row_sizes, col_sizes, blocks) -> MatrixR:
+    """Block matrix with the given block row and column sizes, written in place.
+
+    ``blocks`` maps (block row, block column) to an array of encoded
+    entries of that block's shape; every block it does not name is zero.
+    """
+    row_off = [0, *itertools.accumulate(row_sizes)]
+    col_off = [0, *itertools.accumulate(col_sizes)]
+    data = np.zeros((row_off[-1], col_off[-1]), dtype=np.int64)
+    for (i, j), arr in blocks.items():
+        dest = data[row_off[i] : row_off[i + 1], col_off[j] : col_off[j + 1]]
+        if arr.shape != dest.shape:
+            raise UsageError(f"block ({i}, {j}) has shape {arr.shape}, expected {dest.shape}")
+        dest[...] = arr
     return MatrixR(ring, data)
 
 

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
+from ._kernels import enc_neg
 from .complexes import (
     ChainComplex,
     ModuleDescriptor,
@@ -139,35 +140,21 @@ def desuspend(X: ChainComplex, i: int) -> ChainComplex:
 # direct sum
 
 
-def _block_diag(ring: RingSpec, mats) -> MatrixR:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    data = np.zeros((rows, cols), dtype=np.int64)
-    r = c = 0
-    for m in mats:
-        data[r : r + m.rows, c : c + m.cols] = m.data
-        r += m.rows
-        c += m.cols
-    return MatrixR(ring, data)
-
-
 def direct_sum_all(ring: RingSpec, complexes) -> ChainComplex:
     complexes = list(complexes)
     for X in complexes:
         if X.ring != ring:
             raise UsageError(f"ring mismatch in direct sum: {X.ring} vs {ring}")
     n_degrees = max((len(X.ranks) for X in complexes), default=0)
-    ranks = [sum(X.rank(n) for X in complexes) for n in range(n_degrees)]
-    diffs = [
-        _block_diag(ring, [X.d(n) for X in complexes])
-        for n in range(1, n_degrees)
-    ]
-    return make_complex(ring, ranks, diffs, check=False)
+    sizes = [[X.rank(n) for X in complexes] for n in range(n_degrees)]
+    diffs = []
+    for n in range(1, n_degrees):  # each summand writes only its own differentials
+        own = {(k, k): X.diffs[n - 1].data for k, X in enumerate(complexes) if n <= X.top}
+        diffs.append(linalg.from_blocks(ring, sizes[n - 1], sizes[n], own))
+    return make_complex(ring, [sum(s) for s in sizes], diffs, check=False)
 
 
 def direct_sum(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
-    if X.ring != Y.ring:
-        raise UsageError("ring mismatch in direct sum")
     return direct_sum_all(X.ring, [X, Y])
 
 
@@ -186,11 +173,15 @@ def cone(f: ChainMap) -> ChainComplex:
     ranks = [Y.rank(n) + X.rank(n - 1) for n in range(n_degrees)]
     diffs = []
     for n in range(1, n_degrees):
-        grid = [
-            [Y.d(n), f.mat(n - 1)],
-            [linalg.zeros(ring, X.rank(n - 2), Y.rank(n)), linalg.neg(X.d(n - 1))],
-        ]
-        diffs.append(linalg.block(ring, grid))
+        nonzero = {}
+        if n <= Y.top:
+            nonzero[(0, 0)] = Y.diffs[n - 1].data
+        if n - 1 < len(f.mats):
+            nonzero[(0, 1)] = f.mats[n - 1].data
+        if 2 <= n <= X.top + 1:
+            nonzero[(1, 1)] = enc_neg(X.diffs[n - 2].data, ring.p, ring.flavor_code)
+        rows, cols = [Y.rank(n - 1), X.rank(n - 2)], [Y.rank(n), X.rank(n - 1)]
+        diffs.append(linalg.from_blocks(ring, rows, cols, nonzero))
     return make_complex(ring, ranks, diffs, check=False)
 
 
@@ -210,6 +201,19 @@ def cone_inclusion(f: ChainMap) -> ChainMap:
 # tensor product
 
 
+def _kron_id(ring: RingSpec, A: np.ndarray, m: int) -> np.ndarray:
+    """Encoded kron(A, 1_m) over R: each entry of A times an m x m identity."""
+    prod = (A % ring.size)[:, None, :, None] * np.eye(m, dtype=np.int64)[None, :, None, :]
+    return prod.reshape(A.shape[0] * m, A.shape[1] * m)
+
+
+def _id_kron(ring: RingSpec, m: int, B: np.ndarray, negate) -> np.ndarray:
+    """Encoded kron(1_m, +-B) over R: m copies of B or -B down the diagonal."""
+    B = enc_neg(B, ring.p, ring.flavor_code) if negate else B % ring.size
+    prod = np.eye(m, dtype=np.int64)[:, None, :, None] * B[None, :, None, :]
+    return prod.reshape(m * B.shape[0], m * B.shape[1])
+
+
 def _tensor_blocks(X: ChainComplex, Y: ChainComplex, n: int):
     """(i, j) summands of degree n, lexicographic with i ascending."""
     return [
@@ -227,29 +231,19 @@ def tensor(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
         return empty(ring)
     n_degrees = X.top + Y.top + 1
     blocks = [_tensor_blocks(X, Y, n) for n in range(n_degrees)]
-    ranks = [sum(X.rank(i) * Y.rank(j) for i, j in bs) for n, bs in enumerate(blocks)]
+    dims = [[X.rank(i) * Y.rank(j) for i, j in bs] for bs in blocks]
+    ranks = [sum(ds) for ds in dims]
     diffs = []
     for n in range(1, n_degrees):
-        if not blocks[n] or not blocks[n - 1]:
-            diffs.append(linalg.zeros(ring, ranks[n - 1], ranks[n]))
-            continue
-        grid = []
-        for it, jt in blocks[n - 1]:
-            row = []
-            for isrc, jsrc in blocks[n]:
-                rows_ = X.rank(it) * Y.rank(jt)
-                cols_ = X.rank(isrc) * Y.rank(jsrc)
-                if (it, jt) == (isrc - 1, jsrc):
-                    m = linalg.kron(X.d(isrc), linalg.identity(ring, Y.rank(jsrc)))
-                elif (it, jt) == (isrc, jsrc - 1):
-                    m = linalg.kron(linalg.identity(ring, X.rank(isrc)), Y.d(jsrc))
-                    if isrc % 2:
-                        m = linalg.neg(m)
-                else:
-                    m = linalg.zeros(ring, rows_, cols_)
-                row.append(m)
-            grid.append(row)
-        diffs.append(linalg.block(ring, grid))
+        row_of = {ij: k for k, ij in enumerate(blocks[n - 1])}
+        nonzero = {}
+        for c, (i, j) in enumerate(blocks[n]):
+            if (i - 1, j) in row_of:  # d_X (x) 1
+                nonzero[(row_of[(i - 1, j)], c)] = _kron_id(ring, X.diffs[i - 1].data, Y.rank(j))
+            if (i, j - 1) in row_of:  # (-1)^i 1 (x) d_Y
+                d_Y = Y.diffs[j - 1].data
+                nonzero[(row_of[(i, j - 1)], c)] = _id_kron(ring, X.rank(i), d_Y, i % 2)
+        diffs.append(linalg.from_blocks(ring, dims[n - 1], dims[n], nonzero))
     return make_complex(ring, ranks, diffs, check=False)
 
 
@@ -289,29 +283,17 @@ def _hom_diff(X: ChainComplex, Y: ChainComplex, n: int) -> MatrixR:
     ring = X.ring
     src_blocks = _hom_blocks(X, Y, n)
     tgt_blocks = _hom_blocks(X, Y, n - 1)
-    sign_flip = (n - 1) % 2 == 1
-    grid = []
-    for it in tgt_blocks:
-        row = []
-        for isrc in src_blocks:
-            rows_ = Y.rank(it + n - 1) * X.rank(it)
-            cols_ = Y.rank(isrc + n) * X.rank(isrc)
-            if it == isrc:
-                m = linalg.kron(Y.d(isrc + n), linalg.identity(ring, X.rank(isrc)))
-            elif it == isrc + 1:
-                m = linalg.kron(
-                    linalg.identity(ring, Y.rank(it + n - 1)),
-                    linalg.transpose(X.d(it)),
-                )
-                if sign_flip:
-                    m = linalg.neg(m)
-            else:
-                m = linalg.zeros(ring, rows_, cols_)
-            row.append(m)
-        grid.append(row)
-    if not grid or not src_blocks:
-        return linalg.zeros(ring, _hom_rank(X, Y, n - 1), _hom_rank(X, Y, n))
-    return linalg.block(ring, grid)
+    row_of = {i: k for k, i in enumerate(tgt_blocks)}
+    nonzero = {}
+    for c, i in enumerate(src_blocks):
+        if i in row_of:  # d_Y (x) 1
+            nonzero[(row_of[i], c)] = _kron_id(ring, Y.diffs[i + n - 1].data, X.rank(i))
+        if i + 1 in row_of:  # (-1)^(n-1) 1 (x) d_X^T
+            d_X = X.diffs[i].data.T
+            nonzero[(row_of[i + 1], c)] = _id_kron(ring, Y.rank(i + n), d_X, (n - 1) % 2)
+    rows = [Y.rank(i + n - 1) * X.rank(i) for i in tgt_blocks]
+    cols = [Y.rank(i + n) * X.rank(i) for i in src_blocks]
+    return linalg.from_blocks(ring, rows, cols, nonzero)
 
 
 def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
@@ -321,6 +303,11 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
     require_valid(Y)
     from . import oracle as _oracle
 
+    # the guarded counts come first, so a refused pair builds nothing
+    guard = guard if guard is not None else _oracle.SizeGuard()
+    degree0 = _oracle.chain_map_module(X, Y, guard)
+    d1_image_size = _oracle.hom_boundary_image_size(X, Y, guard)
+
     ring = X.ring
     top = Y.top  # Hom_n vanishes once i + n > Y.top for all i
     pos_ranks = [0] + [_hom_rank(X, Y, n) for n in range(1, max(top + 1, 1))]
@@ -328,10 +315,6 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
     for n in range(2, len(pos_ranks)):
         pos_diffs.append(_hom_diff(X, Y, n))
     positive = make_complex(ring, pos_ranks, pos_diffs, check=False)
-
-    guard = guard if guard is not None else _oracle.SizeGuard()
-    degree0 = _oracle.chain_map_module(X, Y, guard)
-    d1_image_size = _oracle.hom_boundary_image_size(X, Y, guard)
 
     full = None
     if X.top <= 0:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from ._kernels import echelon_mod, enc_add, enc_sub, mat_inverse, mat_mul, matmul_exact
-from .complexes import ChainComplex, ModuleDescriptor, disk, interval, make_complex, require_valid
+from .complexes import ChainComplex, ModuleDescriptor, interval_sum, make_complex, require_valid
 from .errors import ChaincellError, UsageError
 from .linalg import MatrixR
 from .ops import direct_sum_all
@@ -156,9 +156,7 @@ def minimize(X: ChainComplex) -> MinimizeResult:
 
 def verify_certificates(X: ChainComplex, result: MinimizeResult) -> bool:
     """Conjugating X by the certificates must reproduce minimal (+) disks."""
-    block_form = direct_sum_all(
-        X.ring, [result.minimal] + [disk(X.ring, n) for n in result.disks]
-    )
+    block_form = direct_sum_all(X.ring, [result.minimal, interval_sum(X.ring, [], result.disks)])
     if tuple(block_form.ranks) != tuple(X.ranks):
         return False
     for m, (u, uinv) in enumerate(result.certificates):
@@ -273,9 +271,7 @@ def decompose(X: ChainComplex) -> Decomposition:
                 f"rank accounting failed at degree {n}: "
                 f"{X.ranks[n]} != {covering} + {d_here}"
             )
-    rebuilt_min = direct_sum_all(
-        X.ring, [interval(X.ring, i, j) for i, j in dec.interval_list()]
-    )
+    rebuilt_min = interval_sum(X.ring, dec.interval_list())
     if rho_table(rebuilt_min) != table:
         raise ChaincellError("reconstruction differs from input in its rho table")
     return dec
@@ -283,9 +279,7 @@ def decompose(X: ChainComplex) -> Decomposition:
 
 def reconstruct(dec: Decomposition, ring: RingSpec) -> ChainComplex:
     """Direct sum of the named intervals then disks, in sorted order."""
-    summands = [interval(ring, i, j) for i, j in dec.interval_list()]
-    summands += [disk(ring, n) for n in dec.disk_list()]
-    return direct_sum_all(ring, summands)
+    return interval_sum(ring, dec.interval_list(), dec.disk_list())
 
 
 def homology(X: ChainComplex) -> list:

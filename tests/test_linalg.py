@@ -89,3 +89,17 @@ def test_kron_agrees_with_entrywise_products(ring):
             for s in range(2):
                 assert k.entry(i * 2 + s, j) == a.entry(i, j) * b.entry(s, 0)
 
+
+
+def test_pairs_are_the_entrywise_split_and_not_shared(ring, rng):
+    A = _rand_matrix(ring, rng, 4, 5)
+    p = ring.p
+    want = [[[int(v % p), int(v // p)] for v in row] for row in A.data]
+    got = A.pairs()
+    assert got == want
+    assert all(type(x) is int for row in got for pair in row for x in pair)
+    got[0][0][0] = -1
+    assert all(pair[0] != -1 for row in got[1:] for pair in row)
+    assert A.pairs() == want
+    assert linalg.zeros(ring, 0, 3).pairs() == []
+    assert linalg.zeros(ring, 2, 0).pairs() == [[], []]

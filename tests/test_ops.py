@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from chaincell import disk, empty, homology, interval, linalg, sphere, validate
-from chaincell.errors import UsageError
+from chaincell import ops
+from chaincell.errors import GuardExceeded, UsageError
 from chaincell.ops import (
     ChainMap,
     compose,
@@ -220,3 +221,24 @@ def test_compose_requires_matching_middle():
 
 def test_direct_sum_all_of_nothing_is_empty(ring):
     assert direct_sum_all(ring, []) == empty(ring)
+
+
+def test_refused_hom_builds_nothing(ring, monkeypatch):
+    X = direct_sum_all(ring, [interval(ring, 0, 2), disk(ring, 1)])
+    Y = direct_sum_all(
+        ring, [interval(ring, 0, 3), interval(ring, 1, 1), interval(ring, 0, 2), disk(ring, 2)]
+    )
+    admitted = hom_complex(interval(ring, 0, 0), interval(ring, 0, 2), SizeGuard(1 << 10))
+
+    def no_build(*args):
+        raise AssertionError("hom built its positive part before the guard")
+
+    monkeypatch.setattr(ops, "_hom_diff", no_build)
+    with pytest.raises(GuardExceeded):
+        hom_complex(X, Y, SizeGuard(ring.size))
+    with pytest.raises(GuardExceeded):
+        hom_complex(X, Y)
+    with pytest.raises(AssertionError):
+        hom_complex(interval(ring, 0, 0), interval(ring, 0, 2), SizeGuard(1 << 10))
+    monkeypatch.undo()
+    assert hom_complex(interval(ring, 0, 0), interval(ring, 0, 2), SizeGuard(1 << 10)) == admitted
