@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import enc_mul, enc_neg
+from ._kernels import enc_neg
 from .errors import UsageError
 from .ring import RingElement, RingSpec, check_same_ring
 
@@ -133,16 +133,6 @@ def matmul_k(A: MatrixK, B: MatrixK) -> MatrixK:
 
 def neg(A: MatrixR) -> MatrixR:
     return MatrixR(A.ring, enc_neg(A.data, A.ring.p, A.ring.flavor_code))
-
-
-def kron(A: MatrixR, B: MatrixR) -> MatrixR:
-    """Kronecker product; row-major pair ordering (A-index major)."""
-    check_same_ring(A, B)
-    p, fl = A.ring.p, A.ring.flavor_code
-    prod = enc_mul(
-        A.data[:, None, :, None], B.data[None, :, None, :], p, fl
-    ).reshape(A.rows * B.rows, A.cols * B.cols)
-    return MatrixR(A.ring, prod)
 
 
 def is_zero(A: MatrixR) -> bool:

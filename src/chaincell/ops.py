@@ -320,9 +320,6 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
     if X.top <= 0:
         a = X.rank(0)
         full_ranks = [a * Y.rank(n) for n in range(len(Y.ranks))]
-        full_diffs = [
-            linalg.kron(Y.d(n), linalg.identity(ring, a))
-            for n in range(1, len(Y.ranks))
-        ]
+        full_diffs = [MatrixR(ring, _kron_id(ring, d.data, a)) for d in Y.diffs]
         full = make_complex(ring, full_ranks, full_diffs, check=False)
     return HomComplex(X, Y, degree0, positive, d1_image_size, full)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from chaincell.ring import RingSpec
+from chaincell._kernels import enc_mul
+from chaincell.linalg import MatrixR
+from chaincell.ring import RingSpec, check_same_ring
 
 ALL_RINGS = [
     RingSpec("zpsq", 2),
@@ -37,3 +39,14 @@ def bounded_random_complex(ring, rng, max_len=5, max_rank=4):
         )
         if len(X.ranks) <= max_len and all(r <= max_rank for r in X.ranks):
             return X
+
+
+def reference_kron(A, B):
+    """Kronecker product over R by entrywise ring products; row-major pair
+    ordering (A-index major).  The assembly tests compare against it."""
+    check_same_ring(A, B)
+    p, fl = A.ring.p, A.ring.flavor_code
+    prod = enc_mul(
+        A.data[:, None, :, None], B.data[None, :, None, :], p, fl
+    ).reshape(A.rows * B.rows, A.cols * B.cols)
+    return MatrixR(A.ring, prod)

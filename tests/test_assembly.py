@@ -36,7 +36,7 @@ from chaincell.ops import (
 from chaincell.oracle import SizeGuard, enumerate_chain_maps
 from chaincell.randgen import conjugated
 
-from conftest import bounded_random_complex
+from conftest import bounded_random_complex, reference_kron
 
 
 def _reference_block(ring, grid):
@@ -94,9 +94,9 @@ def _reference_tensor(X, Y):
             row = []
             for isrc, jsrc in blocks[n]:
                 if (it, jt) == (isrc - 1, jsrc):
-                    m = linalg.kron(X.d(isrc), linalg.identity(ring, Y.rank(jsrc)))
+                    m = reference_kron(X.d(isrc), linalg.identity(ring, Y.rank(jsrc)))
                 elif (it, jt) == (isrc, jsrc - 1):
-                    m = linalg.kron(linalg.identity(ring, X.rank(isrc)), Y.d(jsrc))
+                    m = reference_kron(linalg.identity(ring, X.rank(isrc)), Y.d(jsrc))
                     if isrc % 2:
                         m = linalg.neg(m)
                 else:
@@ -115,10 +115,10 @@ def _reference_hom_diff(X, Y, n):
         row = []
         for isrc in src_blocks:
             if it == isrc:
-                m = linalg.kron(Y.d(isrc + n), linalg.identity(ring, X.rank(isrc)))
+                m = reference_kron(Y.d(isrc + n), linalg.identity(ring, X.rank(isrc)))
             elif it == isrc + 1:
                 eye = linalg.identity(ring, Y.rank(it + n - 1))
-                m = linalg.kron(eye, linalg.transpose(X.d(it)))
+                m = reference_kron(eye, linalg.transpose(X.d(it)))
                 if (n - 1) % 2:
                     m = linalg.neg(m)
             else:
@@ -224,6 +224,26 @@ def test_hom_positive_matches_grid_assembly(ring, rng):
             except GuardExceeded:
                 continue
             _assert_same_bytes(h.positive, _reference_hom_positive(X, Y))
+
+
+def test_hom_full_matches_kron_with_identity(ring, rng):
+    cs = [c for c in _complexes(ring, rng) if c.total_rank <= 3]
+    sources = [c for c in cs if c.top <= 0] + [sphere(ring, 0), empty(ring)]
+    sources.append(make_complex(ring, [2], []))
+    for X in sources:
+        for Y in cs:
+            try:
+                h = hom_complex(X, Y, SizeGuard(1 << 14))
+            except GuardExceeded:
+                continue
+            a = X.rank(0)
+            want = make_complex(
+                ring,
+                [a * r for r in Y.ranks],
+                [reference_kron(Y.d(n), linalg.identity(ring, a)) for n in range(1, len(Y.ranks))],
+                check=False,
+            )
+            _assert_same_bytes(h.full, want)
 
 
 def test_cone_matches_grid_assembly(ring, rng):
