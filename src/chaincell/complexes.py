@@ -191,9 +191,6 @@ class ModuleDescriptor:
         return " + ".join(parts)
 
 
-ZERO_MODULE = ModuleDescriptor(0, 0)
-
-
 def module_from_sizes(p: int, size: int, ann_size: int) -> ModuleDescriptor:
     """Recover (a, b) from |M| = p^(2a+b) and |ann_r(M)| = p^(a+b).
 
@@ -237,8 +234,30 @@ def _all_vectors(ring: RingSpec, n: int) -> np.ndarray:
     return digits
 
 
+def _codes(ring: RingSpec, vecs: np.ndarray) -> np.ndarray:
+    """Codes of the encoded vectors along the last axis: their row indices
+    in ``_all_vectors``.  A code indexes a table that is already
+    allocated, so it fits in int64."""
+    n = vecs.shape[-1]
+    return vecs @ ring.size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _boundaries(X: ChainComplex, n: int) -> np.ndarray:
+    """Boolean table over the codes of X_n, true exactly on im d_(n+1)."""
+    ring = X.ring
+    up = _all_vectors(ring, X.rank(n + 1))
+    imgs = _kernels.mat_mul(X.d(n + 1).data, up[:, :, None], ring.p, ring.flavor_code)
+    table = np.zeros(ring.size ** X.rank(n), dtype=bool)
+    table[_codes(ring, imgs[:, :, 0])] = True
+    return table
+
+
 def _keys(arr: np.ndarray):
-    """Hashable row keys for a 2-d array of encoded entries."""
+    """Hashable row keys for a 2-d array of encoded entries.
+
+    For the chain-map and Hom_1 enumerations, whose rows (stacked matrix
+    blocks) can be wider than any guard bounds, so a code could overflow.
+    """
     if arr.shape[1] == 0:
         return [b""] * arr.shape[0]
     u = np.ascontiguousarray(arr, dtype=np.uint16)
@@ -254,6 +273,8 @@ def _brute_work(X: ChainComplex) -> int:
 def brute_homology(X: ChainComplex, work_limit: int = BRUTE_WORK_LIMIT) -> list:
     """H_n by enumerating cycles and boundaries elementwise.
 
+    |H_n| = |Z_n| / |B_n| and |ann_r H_n| = |{z in Z_n : r*z in B_n}| / |B_n|,
+    with B_n read from the boundary table of ``_boundaries``.
     Refuses when the enumeration would exceed work_limit vectors.
     """
     require_valid(X)
@@ -268,22 +289,13 @@ def brute_homology(X: ChainComplex, work_limit: int = BRUTE_WORK_LIMIT) -> list:
     r_enc = np.int64(ring.p)  # encoded generator r
     out = []
     for n in range(len(X.ranks)):
-        vecs = _all_vectors(ring, X.rank(n))
-        if n == 0:
-            cycles = vecs
-        else:
-            dn = X.d(n).data
-            imgs = _kernels.mat_mul(dn, vecs[:, :, None], p, fl)
-            cycles = vecs[~np.any(imgs.reshape(len(vecs), -1), axis=1)]
-        up = _all_vectors(ring, X.rank(n + 1))
-        dn1 = X.d(n + 1).data
-        bvecs = _kernels.mat_mul(dn1, up[:, :, None], p, fl).reshape(
-            len(up), -1
-        )
-        boundary_keys = set(_keys(bvecs))
-        size_b = len(boundary_keys)
-        size_z = len(cycles)
+        cycles = _all_vectors(ring, X.rank(n))
+        if n > 0:
+            imgs = _kernels.mat_mul(X.d(n).data, cycles[:, :, None], p, fl)
+            cycles = cycles[~np.any(imgs.reshape(len(cycles), -1), axis=1)]
+        boundary = _boundaries(X, n)
+        size_b = int(np.count_nonzero(boundary))
         r_cycles = _kernels.enc_mul(r_enc, cycles, p, fl)
-        ann_pre = sum(1 for kk in _keys(r_cycles) if kk in boundary_keys)
-        out.append(module_from_sizes(p, size_z // size_b, ann_pre // size_b))
+        ann_pre = int(np.count_nonzero(boundary[_codes(ring, r_cycles)]))
+        out.append(module_from_sizes(p, len(cycles) // size_b, ann_pre // size_b))
     return out

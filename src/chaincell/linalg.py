@@ -60,12 +60,6 @@ class MatrixR:
     def residue(self) -> "MatrixK":
         return MatrixK(self.ring.p, self.data % self.ring.p)
 
-    def r_coefficients(self) -> "MatrixK":
-        """For a matrix with all entries in m, the B with self = r*B."""
-        if np.any(self.data % self.ring.p):
-            raise UsageError("matrix has a unit entry; not of the form r*B")
-        return MatrixK(self.ring.p, self.data // self.ring.p)
-
     def __str__(self) -> str:
         return f"MatrixR({self.ring}, {self.rows}x{self.cols})"
 

@@ -303,8 +303,11 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
     require_valid(Y)
     from . import oracle as _oracle
 
-    # the guarded counts come first, so a refused pair builds nothing
+    # both guards come before either count, so a refused pair enumerates
+    # and builds nothing
     guard = guard if guard is not None else _oracle.SizeGuard()
+    guard.check("chain map enumeration", _oracle._map_candidates(X, Y))
+    guard.check("hom degree-1 enumeration", _oracle._hom1_candidates(X, Y))
     degree0 = _oracle.chain_map_module(X, Y, guard)
     d1_image_size = _oracle.hom_boundary_image_size(X, Y, guard)
 

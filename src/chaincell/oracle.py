@@ -2,18 +2,19 @@
 
 Everything here works elementwise over the finite ring: chain maps are
 enumerated degree by degree with pruning on the commutation equation,
-H_0 is handled through explicit coset tables, and the cellularity
-decision procedure is cross-checked against the surjectivity criterion
-(X is A-cellular iff some sum of copies of A maps onto H_0 of X; a map
-from a sum restricts to maps from each summand, so the images of single
-maps already generate everything any sum can hit).
+H_0 is spanned coset by coset in a boolean table over Y_0, and the
+cellularity decision procedure is cross-checked against the
+surjectivity criterion (X is A-cellular iff some sum of copies of A
+maps onto H_0 of X; a map from a sum restricts to maps from each
+summand, so the images of single maps already generate everything any
+sum can hit).
 
 Every element is still visited, but in numpy batches rather than one
-Python call per vector: a vector of Y_0 is named by an integer code (its
-row index in ``_all_vectors``), the H0-epi search applies at most
-``_F0_CHUNK`` degree-0 components to all cycles at once, and the Hom_1
-walk takes chunks of flat indices into the Cartesian product of the
-blocks.  A chunk holds about ``_CHUNK_CELLS`` entries, so memory beyond
+Python call per vector: a vector of Y_0 is named by its integer code
+(``complexes._codes``, its row index in ``_all_vectors``), the H0-epi
+search applies at most ``_F0_CHUNK`` degree-0 components to all cycles
+at once, and the Hom_1 walk takes chunks of flat indices into the
+Cartesian product of the blocks.  A chunk holds about ``_CHUNK_CELLS`` entries, so memory beyond
 the candidate stacks themselves stays bounded.
 
 Refusals are predictable: the guard is compared against the worst-case
@@ -34,6 +35,8 @@ from .complexes import (
     ChainComplex,
     ModuleDescriptor,
     _all_vectors,
+    _boundaries,
+    _codes,
     _keys,
     brute_homology,
     make_complex,
@@ -71,6 +74,17 @@ class SizeGuard:
             self.refuse(what, required)
 
 
+def _map_candidates(X: ChainComplex, Y: ChainComplex) -> int:
+    """Worst-case chain map candidates X -> Y: every block in every degree."""
+    levels = max(len(X.ranks), len(Y.ranks))
+    return X.ring.size ** sum(X.rank(n) * Y.rank(n) for n in range(levels))
+
+
+def _hom1_candidates(X: ChainComplex, Y: ChainComplex) -> int:
+    """Worst-case Hom(X, Y)_1 candidates: every family g_i: X_i -> Y_(i+1)."""
+    return X.ring.size ** sum(X.rank(i) * Y.rank(i + 1) for i in range(X.top + 1))
+
+
 def _candidate_matrices(ring, rows: int, cols: int) -> np.ndarray:
     """Every matrix of the given shape, shape (|R|^(rows*cols), rows, cols)."""
     vecs = _all_vectors(ring, rows * cols)
@@ -92,11 +106,7 @@ class _MapSearch:
         self.source, self.target = source, target
         self.ring = source.ring
         self.levels = max(len(source.ranks), len(target.ranks))
-        exponent = sum(
-            source.rank(n) * target.rank(n) for n in range(self.levels)
-        )
-        total = self.ring.size**exponent
-        guard.check("chain map enumeration", total)
+        guard.check("chain map enumeration", _map_candidates(source, target))
 
         p, fl = self.ring.p, self.ring.flavor_code
         self.cand = [
@@ -193,8 +203,7 @@ def hom_boundary_image_size(X: ChainComplex, Y: ChainComplex, guard: SizeGuard =
     require_valid(Y)
     ring = X.ring
     blocks = range(X.top + 1)
-    exponent = sum(X.rank(i) * Y.rank(i + 1) for i in blocks)
-    guard.check("hom degree-1 enumeration", ring.size**exponent)
+    guard.check("hom degree-1 enumeration", _hom1_candidates(X, Y))
     cands = [_candidate_matrices(ring, Y.rank(i + 1), X.rank(i)) for i in blocks]
     p, fl = ring.p, ring.flavor_code
     d_after = [_kernels.mat_mul(Y.d(i + 1).data, cands[i], p, fl) for i in blocks]
@@ -223,64 +232,16 @@ def hom_boundary_image_size(X: ChainComplex, Y: ChainComplex, guard: SizeGuard =
 
 
 # ---------------------------------------------------------------------------
-# H0 machinery
-
-
-class _H0:
-    """Coset table for H_0(Y) = Y_0 / im d_1, elementwise.
-
-    Each vector of Y_0 is named by its code, its row index in
-    ``_all_vectors``; ``rep_of[code]`` is the smallest code in its coset.
-    """
-
-    def __init__(self, Y: ChainComplex, guard: SizeGuard):
-        ring = Y.ring
-        p, fl = ring.p, ring.flavor_code
-        guard.check("H0 coset table", ring.size ** Y.rank(0))
-        guard.check("H0 boundary enumeration", ring.size ** Y.rank(1))
-        self.p, self.fl = p, fl
-        self.weights = ring.size ** np.arange(Y.rank(0) - 1, -1, -1, dtype=np.int64)
-        self.vecs = _all_vectors(ring, Y.rank(0))
-        up = _all_vectors(ring, Y.rank(1))
-        bnd = _kernels.mat_mul(Y.d(1).data, up[:, :, None], p, fl)
-        boundary = self.vecs[np.unique(self.code(bnd[:, :, 0]))]
-
-        self.rep_of = np.full(len(self.vecs), -1, dtype=np.int64)
-        self.size = 0
-        for c in range(len(self.vecs)):
-            if self.rep_of[c] < 0:  # c is the smallest code of a new coset
-                self.rep_of[self.code(enc_add(self.vecs[c], boundary, p, fl))] = c
-                self.size += 1
-
-    def code(self, vecs: np.ndarray) -> np.ndarray:
-        """Codes of the vectors along the last axis."""
-        return vecs @ self.weights
-
-    def spans(self, gens) -> bool:
-        """Do the cosets with these representative codes generate H_0?"""
-        in_span = np.zeros(len(self.rep_of), dtype=bool)
-        in_span[0] = True
-        span = np.zeros(1, dtype=np.int64)  # representative codes, zero first
-        for g in gens:
-            if in_span[g]:
-                continue
-            cosets = [span]
-            shifted = span
-            while True:  # span + k*g for k = 1, 2, ... until k*g is in span
-                moved = enc_add(self.vecs[shifted], self.vecs[g], self.p, self.fl)
-                shifted = self.rep_of[self.code(moved)]
-                if in_span[shifted[0]]:
-                    break
-                in_span[shifted] = True
-                cosets.append(shifted)
-            span = np.concatenate(cosets)
-            if len(span) == self.size:
-                return True
-        return len(span) == self.size
+# H0 surjectivity
 
 
 def exists_h0_epi(A: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard()) -> bool:
     """Do the chain maps A -> Y jointly hit all of H_0(Y)?
+
+    Works in a boolean table over the codes of Y_0: the span starts as
+    im d_1 and, while some hit vector lies outside it, takes the lowest
+    such g and adds the whole shifted copies span + k*g.  The maps hit
+    H_0(Y) exactly when the span ends as all of Y_0.
 
     Requires H_0(A) != 0 (the surjectivity criterion's hypothesis);
     desuspend the pair first when the bottom degree is positive.
@@ -291,24 +252,40 @@ def exists_h0_epi(A: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard
         raise DomainError(
             "H_0 of the generator vanishes; desuspend the pair before testing"
         )
-    h0 = _H0(Y, guard)
-    if h0.size == 1:
+    ring = Y.ring
+    p, fl = ring.p, ring.flavor_code
+    guard.check("H0 coset table", ring.size ** Y.rank(0))
+    guard.check("H0 boundary enumeration", ring.size ** Y.rank(1))
+    span = _boundaries(Y, 0)  # over the codes of Y_0; starts as im d_1
+    if span.all():
         return True
 
     search = _MapSearch(A, Y, guard)
-    ring = A.ring
-    p, fl = ring.p, ring.flavor_code
     guard.check("H0 cycle enumeration", ring.size ** A.rank(0))
     cycles = _all_vectors(ring, A.rank(0)).T.copy()  # degree 0: everything is a cycle
 
     # images of every cycle under every viable f_0, a chunk of f_0 at a time
-    hit = np.zeros(len(h0.vecs), dtype=bool)
+    hit = np.zeros(len(span), dtype=bool)
     f0_stack = search.cand[0][search.viable[0]]
     step = max(1, min(_F0_CHUNK, _CHUNK_CELLS // (Y.rank(0) * cycles.shape[1])))
     for lo in range(0, len(f0_stack), step):
         images = _kernels.mat_mul(f0_stack[lo : lo + step], cycles, p, fl)
-        hit[h0.code(images.transpose(0, 2, 1))] = True
-    return h0.spans(np.unique(h0.rep_of[hit]))
+        hit[_codes(ring, images.transpose(0, 2, 1))] = True
+
+    vecs = _all_vectors(ring, Y.rank(0))
+    while not span.all():
+        outside = np.flatnonzero(hit & ~span)
+        if not len(outside):
+            return False
+        g = vecs[outside[0]]
+        shifted = vecs[span]  # the zero vector first, so shifted[0] = k*g
+        while True:  # span + k*g for k = 1, 2, ... until k*g is in span
+            shifted = enc_add(shifted, g, p, fl)
+            codes = _codes(ring, shifted)
+            if span[codes[0]]:
+                break
+            span[codes] = True
+    return True
 
 
 # ---------------------------------------------------------------------------

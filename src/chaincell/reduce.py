@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from ._kernels import echelon_mod, enc_add, enc_sub, mat_inverse, mat_mul, matmul_exact
+from ._kernels import echelon_mod, enc_add, enc_sub, mat_inverse, mat_mul, matmul_exact, rank_mod
 from .complexes import ChainComplex, ModuleDescriptor, interval_sum, make_complex, require_valid
 from .errors import ChaincellError, UsageError
 from .linalg import MatrixR
@@ -175,30 +175,31 @@ def verify_certificates(X: ChainComplex, result: MinimizeResult) -> bool:
 # composite ranks and the barcode
 
 
-def _require_minimal(M: ChainComplex):
-    for n in range(1, len(M.ranks)):
-        if (M.d(n).data % M.ring.p).any():
-            raise UsageError(f"complex is not minimal: unit entry in d{n}")
-
-
 def _r_parts(M: ChainComplex):
-    """The k-matrices B_n with d_n = r * B_n, for n = 1..top."""
-    return [None] + [M.d(n).r_coefficients() for n in range(1, len(M.ranks))]
+    """The arrays B_n = d_n // p, entries in [0, p), with d_n = r * B_n, for
+    n = 1..top; refuses a complex that is not minimal."""
+    parts = [None]
+    for n in range(1, len(M.ranks)):
+        B, units = np.divmod(M.d(n).data, M.ring.p)
+        if units.any():
+            raise UsageError(f"complex is not minimal: unit entry in d{n}")
+        parts.append(B)
+    return parts
 
 
 def composite_rank(M: ChainComplex, a: int, b: int) -> int:
     """rank_k(B_{a+1} @ ... @ B_b); equals ranks[a] when a == b."""
     require_valid(M)
-    _require_minimal(M)
+    parts = _r_parts(M)
     if not (0 <= a <= b <= M.top):
         raise UsageError(f"degrees out of range: ({a}, {b}) for top {M.top}")
     if a == b:
         return M.ranks[a]
-    parts = _r_parts(M)
+    p = M.ring.p
     prod = parts[a + 1]
     for n in range(a + 2, b + 1):
-        prod = linalg.matmul_k(prod, parts[n])
-    return linalg.rank_k(prod)
+        prod = matmul_exact(prod, parts[n], p) % p
+    return int(rank_mod(prod, p))
 
 
 def rho_table(M: ChainComplex) -> dict:
@@ -213,14 +214,13 @@ def rho_table(M: ChainComplex) -> dict:
     one degree lower.
     """
     require_valid(M)
-    _require_minimal(M)
     p = M.ring.p
     parts = _r_parts(M)
     table = {(a, a): r for a, r in enumerate(M.ranks)}
     basis = np.zeros((M.rank(M.top), 0), dtype=np.int64)
     tags = np.zeros(0, dtype=np.intp)
     for n in range(M.top, 0, -1):
-        B = parts[n].data
+        B = parts[n]
         columns = np.hstack([matmul_exact(B, basis, p) % p, B])
         _, _, pivots, _ = echelon_mod(columns, p)
         basis = columns[:, pivots]

@@ -112,13 +112,16 @@ def complex_from_dict(data, force: bool = False, ring_override: RingSpec = None)
         raise InvalidComplexError(str(exc)) from exc
 
 
-def load_complex(path, force: bool = False, ring_override: RingSpec = None) -> ChainComplex:
+def _read_json(path):
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidComplexError(f"{path}: not valid JSON ({exc})") from exc
-    return complex_from_dict(data, force=force, ring_override=ring_override)
+
+
+def load_complex(path, force: bool = False, ring_override: RingSpec = None) -> ChainComplex:
+    return complex_from_dict(_read_json(path), force=force, ring_override=ring_override)
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +167,7 @@ def chain_map_from_dict(data, force: bool = False, ring_override: RingSpec = Non
 
 
 def load_chain_map(path, force: bool = False, ring_override: RingSpec = None) -> ChainMap:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidComplexError(f"{path}: not valid JSON ({exc})") from exc
-    return chain_map_from_dict(data, force=force, ring_override=ring_override)
+    return chain_map_from_dict(_read_json(path), force=force, ring_override=ring_override)
 
 
 # ---------------------------------------------------------------------------

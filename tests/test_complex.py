@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from chaincell import (
     sphere,
     validate,
 )
+from chaincell.complexes import module_from_sizes
 from chaincell.errors import DomainError, GuardExceeded, InvalidComplexError, UsageError
 from chaincell.ops import direct_sum
 from chaincell.ring import RingSpec
@@ -186,3 +188,44 @@ def test_module_descriptor_str():
     assert str(ZERO) == "0"
     assert str(ModuleDescriptor(2, 1)) == "R^2 + k"
     assert str(R_MOD) == "R"
+
+
+def naive_brute_homology(X):
+    """H_n from Python sets of tuples, one ring operation at a time."""
+    ring = X.ring
+    elements = list(ring.elements())
+
+    def apply(d, v):  # d @ v as a tuple of encoded entries
+        return tuple(
+            sum((d.entry(i, j) * v[j] for j in range(d.cols)), ring.zero()).encoded
+            for i in range(d.rows)
+        )
+
+    out = []
+    for n in range(len(X.ranks)):
+        below = (0,) * X.rank(n - 1)
+        cycles = [v for v in itertools.product(elements, repeat=X.rank(n)) if apply(X.d(n), v) == below]
+        boundaries = {apply(X.d(n + 1), u) for u in itertools.product(elements, repeat=X.rank(n + 1))}
+        killed = [v for v in cycles if tuple((ring.r() * x).encoded for x in v) in boundaries]
+        out.append(module_from_sizes(ring.p, len(cycles) // len(boundaries), len(killed) // len(boundaries)))
+    return out
+
+
+def test_brute_homology_matches_naive(ring, rng):
+    r = linalg.from_elements(ring, [[ring.r()]])
+    zero_top = ChainComplex(ring, (1, 1, 0), (r, linalg.zeros(ring, 1, 0)))
+    assert validate(zero_top) is None
+    cases = [
+        empty(ring),
+        sphere(ring, 0),
+        zero_top,
+        direct_sum(sphere(ring, 0), sphere(ring, 2)),  # ranks 1, 0, 1
+        direct_sum(interval(ring, 0, 1), interval(ring, 3, 0)),  # ranks 1, 1, 0, 1
+        direct_sum(interval(ring, 0, 2), disk(ring, 1)),
+    ]
+    while len(cases) < 14:
+        X = bounded_random_complex(ring, rng, max_len=4, max_rank=3)
+        if X.total_rank <= 4:
+            cases.append(X)
+    for X in cases:
+        assert brute_homology(X) == naive_brute_homology(X), X

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chaincell import disk, empty, homology, interval, linalg, sphere, validate
-from chaincell import ops
+from chaincell import disk, empty, homology, interval, linalg, make_complex, sphere, validate
+from chaincell import ops, oracle
 from chaincell.errors import GuardExceeded, UsageError
 from chaincell.ops import (
     ChainMap,
@@ -242,3 +242,20 @@ def test_refused_hom_builds_nothing(ring, monkeypatch):
         hom_complex(interval(ring, 0, 0), interval(ring, 0, 2), SizeGuard(1 << 10))
     monkeypatch.undo()
     assert hom_complex(interval(ring, 0, 0), interval(ring, 0, 2), SizeGuard(1 << 10)) == admitted
+
+
+def test_hom_checks_both_guards_before_enumerating(ring, monkeypatch):
+    X = make_complex(ring, [1, 1], [linalg.zeros(ring, 1, 1)])
+    W = make_complex(ring, [0, 2, 1], [linalg.zeros(ring, 0, 2), linalg.zeros(ring, 2, 1)])
+    # chain maps X -> W: |R|^(1*2); Hom_1 blocks X_0 -> W_1, X_1 -> W_2: |R|^(1*2 + 1*1)
+
+    def no_enumeration(*args):
+        raise AssertionError("hom enumerated chain maps before its Hom_1 guard")
+
+    monkeypatch.setattr(oracle, "chain_map_module", no_enumeration)
+    with pytest.raises(GuardExceeded, match="hom degree-1 enumeration") as info:
+        hom_complex(X, W, SizeGuard(ring.size**3 - 1))
+    assert info.value.required == ring.size**3
+    with pytest.raises(GuardExceeded, match="chain map enumeration") as info:
+        hom_complex(X, W, SizeGuard(ring.size - 1))
+    assert info.value.required == ring.size**2

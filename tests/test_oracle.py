@@ -373,3 +373,41 @@ def test_guard_refusals_keep_order_and_required():
         "hom degree-1 enumeration",
     )
     assert hom_boundary_image_size(X, W, SizeGuard(64)) == naive_hom_image_size(X, W) == 1
+
+
+def _restricted_f0(monkeypatch, keep):
+    """Let only the candidate f_0 with these indices be viable."""
+
+    class Restricted(oracle._MapSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.viable[0] = [k for k in self.viable[0] if k in keep]
+
+    monkeypatch.setattr(oracle, "_MapSearch", Restricted)
+
+
+def test_exists_h0_epi_many_cosets_p2(p2_ring, chunks, monkeypatch):
+    # d_1 = 0 and Y_0 = R^5: 1024 cosets
+    ring = p2_ring
+    Y = make_complex(ring, [5], [])
+    A1 = interval(ring, 0, 1)  # every f_0 lands in m*Y_0
+    assert exists_h0_epi(A1, Y) is naive_exists_h0_epi(A1, Y) is False
+    # from S^0 only the f_0 onto basis vectors: all of them span, four do not
+    A0 = sphere(ring, 0)
+    basis = np.eye(5, dtype=np.int64)
+    for count, verdict in ((5, True), (4, False)):
+        _restricted_f0(monkeypatch, {ring.size ** (4 - i) for i in range(count)})
+        f0s = [basis[:, [i]] for i in range(count)]
+        assert exists_h0_epi(A0, Y) is naive_exists_h0_epi(A0, Y, f0s=f0s) is verdict
+
+
+def test_exists_h0_epi_many_cosets_p3(chunks):
+    # Y_0 = R^3 at p = 3 with a rank-1 boundary, im d_1 = k (243 cosets) or R (81)
+    verdicts = set()
+    for ring, column in ((RingSpec("zpsq", 3), [[3], [0], [0]]), (RingSpec("dual", 3), [[1], [3], [0]])):
+        Y = make_complex(ring, [3, 1], [linalg.MatrixR(ring, np.array(column, dtype=np.int64))])
+        for A in (sphere(ring, 0), interval(ring, 0, 1)):
+            got = exists_h0_epi(A, Y)
+            assert got == naive_exists_h0_epi(A, Y)
+            verdicts.add(got)
+    assert verdicts == {True, False}
