@@ -18,7 +18,7 @@ from typing import Optional
 
 from .complexes import ChainComplex
 from .errors import UsageError
-from .reduce import barcode, minimize
+from .reduce import minimize
 from .ring import check_same_ring
 
 
@@ -46,7 +46,7 @@ class Verdict:
 
 def min_pair(X: ChainComplex) -> Optional[tuple]:
     """Lex-least interval (i, j) of X; None when X is contractible."""
-    return min(barcode(minimize(X).minimal), default=None)
+    return min(minimize(X).barcode(), default=None)
 
 
 def generator_relation(i: int, j: int, i2: int, j2: int) -> bool:

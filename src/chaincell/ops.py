@@ -304,12 +304,12 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
     from . import oracle as _oracle
 
     # both guards come before either count, so a refused pair enumerates
-    # and builds nothing
+    # and builds nothing; the counts take the pair as validated above
     guard = guard if guard is not None else _oracle.SizeGuard()
     guard.check("chain map enumeration", _oracle._map_candidates(X, Y))
     guard.check("hom degree-1 enumeration", _oracle._hom1_candidates(X, Y))
-    degree0 = _oracle.chain_map_module(X, Y, guard)
-    d1_image_size = _oracle.hom_boundary_image_size(X, Y, guard)
+    degree0 = _oracle._chain_map_module(X, Y, guard)
+    d1_image_size = _oracle._hom_boundary_image_size(X, Y, guard)
 
     ring = X.ring
     top = Y.top  # Hom_n vanishes once i + n > Y.top for all i

@@ -96,13 +96,12 @@ class _MapSearch:
 
     Candidates per degree are pruned by grouping on the two sides of the
     commutation equation target.d(n) @ f_n == f_(n-1) @ source.d(n).
+    Every caller validates both complexes first.
     """
 
     def __init__(self, source: ChainComplex, target: ChainComplex, guard: SizeGuard):
         if source.ring != target.ring:
             raise UsageError("ring mismatch in chain map enumeration")
-        require_valid(source)
-        require_valid(target)
         self.source, self.target = source, target
         self.ring = source.ring
         self.levels = max(len(source.ranks), len(target.ranks))
@@ -177,6 +176,8 @@ class _MapSearch:
 
 def enumerate_chain_maps(X: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard()):
     """All chain maps X -> Y, in a fixed lexicographic order."""
+    require_valid(X)
+    require_valid(Y)
     search = _MapSearch(X, Y, guard)
     if search.levels == 0:
         return [ChainMap(X, Y, ())]
@@ -185,6 +186,13 @@ def enumerate_chain_maps(X: ChainComplex, Y: ChainComplex, guard: SizeGuard = Si
 
 def chain_map_module(X: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard()) -> ModuleDescriptor:
     """Isomorphism class of the module of chain maps X -> Y."""
+    require_valid(X)
+    require_valid(Y)
+    return _chain_map_module(X, Y, guard)
+
+
+def _chain_map_module(X: ChainComplex, Y: ChainComplex, guard: SizeGuard) -> ModuleDescriptor:
+    """``chain_map_module`` of a validated pair."""
     search = _MapSearch(X, Y, guard)
     total = search.counts()
     ann = search.counts(only_m=True)
@@ -201,6 +209,11 @@ def hom_boundary_image_size(X: ChainComplex, Y: ChainComplex, guard: SizeGuard =
     """
     require_valid(X)
     require_valid(Y)
+    return _hom_boundary_image_size(X, Y, guard)
+
+
+def _hom_boundary_image_size(X: ChainComplex, Y: ChainComplex, guard: SizeGuard) -> int:
+    """``hom_boundary_image_size`` of a validated pair."""
     ring = X.ring
     blocks = range(X.top + 1)
     guard.check("hom degree-1 enumeration", _hom1_candidates(X, Y))

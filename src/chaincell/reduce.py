@@ -82,6 +82,15 @@ class MinimizeResult:
             for m in range(len(self.input_ranks))
         ]
 
+    def rho_table(self) -> dict:
+        """``rho_table`` of the minimal part, which ``minimize`` built valid,
+        so it is read without validating it again."""
+        return _rho_sweep(self.minimal)
+
+    def barcode(self) -> Counter:
+        """``barcode`` of the minimal part, read as ``rho_table`` above."""
+        return _barcode_from_table(self.rho_table(), len(self.minimal.ranks))
+
 
 @dataclass
 class Decomposition:
@@ -214,6 +223,11 @@ def rho_table(M: ChainComplex) -> dict:
     one degree lower.
     """
     require_valid(M)
+    return _rho_sweep(M)
+
+
+def _rho_sweep(M: ChainComplex) -> dict:
+    """``rho_table`` of a complex the package built valid, unvalidated."""
     p = M.ring.p
     parts = _r_parts(M)
     table = {(a, a): r for a, r in enumerate(M.ranks)}
@@ -225,8 +239,10 @@ def rho_table(M: ChainComplex) -> dict:
         _, _, pivots, _ = echelon_mod(columns, p)
         basis = columns[:, pivots]
         tags = np.concatenate([tags, np.full(B.shape[1], n, dtype=np.intp)])[pivots]
+        # rho(n-1, b) counts the tags >= b, all of them in one pass
+        at_least = np.cumsum(np.bincount(tags, minlength=M.top + 1)[::-1])[::-1].tolist()
         for b in range(n, M.top + 1):
-            table[(n - 1, b)] = int(np.count_nonzero(tags >= b))
+            table[(n - 1, b)] = at_least[b]
     return dict(sorted(table.items()))
 
 
@@ -256,10 +272,11 @@ def decompose(X: ChainComplex) -> Decomposition:
 
     Verifies internally that the reconstruction has the same rank vector
     as the input and the same rho table as the minimal part.  Invalid
-    input is refused by ``minimize``.
+    input is refused by ``minimize``; both tables are of complexes the
+    package built, read without validating them again.
     """
     mr = minimize(X)
-    table = rho_table(mr.minimal)
+    table = mr.rho_table()
     intervals = _barcode_from_table(table, len(mr.minimal.ranks))
     dec = Decomposition(intervals, Counter(mr.disks), mr.minimal)
 
@@ -272,7 +289,7 @@ def decompose(X: ChainComplex) -> Decomposition:
                 f"{X.ranks[n]} != {covering} + {d_here}"
             )
     rebuilt_min = interval_sum(X.ring, dec.interval_list())
-    if rho_table(rebuilt_min) != table:
+    if _rho_sweep(rebuilt_min) != table:
         raise ChaincellError("reconstruction differs from input in its rho table")
     return dec
 
@@ -290,7 +307,7 @@ def homology(X: ChainComplex) -> list:
     ``minimize``.
     """
     out = [[0, 0] for _ in range(len(X.ranks))]
-    for (i, j), mult in barcode(minimize(X).minimal).items():
+    for (i, j), mult in minimize(X).barcode().items():
         if j == 0:
             out[i][0] += mult
         else:

@@ -4,7 +4,10 @@
 ``perfbench/run.py:kernel_rows`` times ``_kernels`` functions by name, so
 a rename under ``src/`` would break ``run.py --trace 1`` without failing
 any other test.  The smoke test runs every workload item once, so a
-crash that would lower a run's ``ok_frac`` fails here first.
+crash that would lower a run's ``ok_frac`` fails here first, and the
+replay test checks every elimination of two items against the per-pivot
+reference, so both ``echelon_mod`` paths are checked on the shapes the
+benchmark sends.
 """
 
 import importlib
@@ -13,6 +16,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chaincell import GuardExceeded, _kernels
@@ -55,3 +59,31 @@ def test_workload_items_run_once(workloads, name, tmp_path):
             assert item.run() in (workloads.OK, workloads.REFUSED), item.label
         except GuardExceeded:
             pass
+
+
+def test_benchmark_eliminations_match_reference(workloads, tmp_path, monkeypatch):
+    # every echelon_mod call of one barcode-deep and one decompose-disks
+    # item, against the per-pivot reference: both paths on real shapes
+    from test_kernels import _assert_same_echelon
+
+    real = _kernels.echelon_mod
+    recorded = []
+
+    def recording(M, p):
+        recorded.append((M.copy(), p))
+        return real(M, p)
+
+    with monkeypatch.context() as patch:
+        for module in [m for n, m in sys.modules.items() if n.startswith("chaincell") and m]:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    patch.setattr(module, attr, recording)
+        for name in ("barcode-deep", "decompose-disks"):
+            item = workloads.WORKLOADS[name](1, str(tmp_path), inproc=True)[0]
+            assert item.run() == workloads.OK, item.label
+    monomial = 0
+    for M, p in recorded:
+        _assert_same_echelon(M, p)
+        if min(M.shape) >= _kernels.MONOMIAL_MIN and np.count_nonzero(M % p, axis=0).max() <= 1:
+            monomial += 1
+    assert 0 < monomial < len(recorded)

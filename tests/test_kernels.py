@@ -2,7 +2,9 @@
 
 ``_reference_echelon`` reduces the whole matrix mod p and swaps whole
 rows at every pivot; ``_kernels.echelon_mod`` must return the same
-rank, pivot rows, pivot columns and reduced matrix, byte for byte.
+rank, pivot rows, pivot columns and reduced matrix, byte for byte, on
+both of its paths: the one-pass loop and, for matrices with at most one
+nonzero per column, the monomial pass.
 """
 
 import numpy as np
@@ -126,3 +128,67 @@ def test_mat_inverse_elimination_of_A_and_identity(p):
         if n > 1:
             with pytest.raises(UsageError, match="singular"):
                 mat_inverse(singular, p, _kernels.FLAVOR_ZPSQ)
+
+
+def _monomial(rng, p, rows, cols):
+    """At most one nonzero mod p per column: zero columns, rows hit more
+    than once, unit entries with r-parts and zero entries that are not 0."""
+    M = p * rng.integers(-p, p, size=(rows, cols))  # zero mod p, not zero
+    hit = np.flatnonzero(rng.random(cols) < 0.7)
+    M[rng.integers(0, rows, size=len(hit)), hit] += rng.integers(1, p, size=len(hit))
+    return M
+
+
+def _spy_monomial(monkeypatch):
+    calls = []
+    real = _kernels._echelon_monomial
+
+    def spy(AT, p):
+        calls.append(AT.shape)
+        return real(AT, p)
+
+    monkeypatch.setattr(_kernels, "_echelon_monomial", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_echelon_matches_reference_on_monomial_matrices(p, monkeypatch):
+    # both paths: below MONOMIAL_MIN on either side the loop, above it the pass
+    calls = _spy_monomial(monkeypatch)
+    rng = np.random.default_rng(500 + p)
+    low, high = _kernels.MONOMIAL_MIN - 1, _kernels.MONOMIAL_MIN
+    shapes = [(low, 20), (20, low), (high, high), (high, 40), (40, high), (3, 3), (1, 9), (30, 30)]
+    shapes += [tuple(rng.integers(1, 40, size=2)) for _ in range(30)]
+    for rows, cols in shapes:
+        M = _monomial(rng, p, rows, cols)
+        _assert_same_echelon(M, p)
+        _assert_same_echelon(p * M, p)  # zero mod p throughout
+        _assert_same_echelon(M[rng.integers(0, rows, size=rows)], p)  # repeated rows
+    # calls holds transposed shapes
+    assert {(cols, rows) for rows, cols in shapes if min(rows, cols) >= high} <= set(calls)
+    assert min(min(shape) for shape in calls) == high
+
+
+def _later_pivots_hit_earlier_rows(rng, p, n, cols):
+    """Row echelon shape, rows shuffled: each pivot column's other
+    nonzeros lie only in the rows that hold earlier pivots."""
+    M = np.zeros((n, cols), dtype=np.int64)
+    pivots = np.sort(rng.choice(cols, size=n, replace=False))
+    for k, c in enumerate(pivots):
+        M[k, c] = rng.integers(1, p)
+        M[:k, c] = rng.integers(0, p, size=k) * (rng.random(k) < 0.5)
+        M[: k + 1, c + 1 : pivots[k + 1] if k + 1 < n else cols] = rng.integers(0, p, size=(k + 1, 1))
+    return M[rng.permutation(n)] + p * rng.integers(0, p, size=(n, cols))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_echelon_updates_earlier_pivot_rows(p):
+    # a pivot with no nonzero below it but some in earlier pivot rows
+    # still needs the update that clears them
+    assert echelon_mod(np.array([[1, 1], [0, 1]]), p)[3].tolist() == [[1, 0], [0, 1]]
+    rng = np.random.default_rng(600 + p)
+    for n, cols in [(2, 3), (5, 5), (7, 12), (8, 8), (12, 30), (20, 20)]:
+        for _ in range(5):
+            M = _later_pivots_hit_earlier_rows(rng, p, n, cols)
+            assert _assert_same_echelon(M, p)[0] == n
+            _assert_same_echelon(M.T.copy(), p)

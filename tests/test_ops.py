@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chaincell import disk, empty, homology, interval, linalg, make_complex, sphere, validate
-from chaincell import ops, oracle
+from chaincell import complexes, ops, oracle
 from chaincell.errors import GuardExceeded, UsageError
 from chaincell.ops import (
     ChainMap,
@@ -242,6 +242,16 @@ def test_refused_hom_builds_nothing(ring, monkeypatch):
         hom_complex(interval(ring, 0, 0), interval(ring, 0, 2), SizeGuard(1 << 10))
     monkeypatch.undo()
     assert hom_complex(interval(ring, 0, 0), interval(ring, 0, 2), SizeGuard(1 << 10)) == admitted
+
+
+def test_hom_validates_each_input_once(monkeypatch):
+    ring = RingSpec("zpsq", 2)
+    X, Y = interval(ring, 0, 1), interval(ring, 0, 2)
+    calls = []
+    real = complexes.validate
+    monkeypatch.setattr(complexes, "validate", lambda Z: calls.append(Z) or real(Z))
+    hom_complex(X, Y)
+    assert len(calls) == 2 and calls[0] is X and calls[1] is Y
 
 
 def test_hom_checks_both_guards_before_enumerating(ring, monkeypatch):

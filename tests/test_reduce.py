@@ -3,8 +3,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from chaincell import disk, empty, homology, interval, linalg, make_complex, reduce, sphere
+from chaincell import complexes, disk, empty, homology, interval, linalg, make_complex, reduce, sphere
+from chaincell.complexes import interval_sum
 from chaincell.errors import ChaincellError, UsageError
+from chaincell.lattice import min_pair
 from chaincell.ops import direct_sum, direct_sum_all, shift
 from chaincell.reduce import (
     barcode,
@@ -161,6 +163,36 @@ def test_rho_table_matches_composite_rank(flavor, p):
             for b in range(a, n_degrees)
         }
         assert rho_table(M) == expected
+
+
+def test_rho_table_of_interval_sum_counts_coverage(ring, rng):
+    # decompose's self-check table: the matrices of an unscrambled sum have
+    # at most one nonzero per column, so large sums take the monomial pass
+    for n_intervals in [1, 3, 12, 40]:
+        intervals = []
+        for _ in range(n_intervals):
+            i, j = (int(v) for v in rng.integers(0, 8, size=2))
+            intervals.append((i, j))
+        M = interval_sum(ring, intervals)
+        expected = {
+            (a, b): sum(1 for i, j in intervals if i <= a and b <= i + j)
+            for a in range(M.top + 1)
+            for b in range(a, M.top + 1)
+        }
+        assert rho_table(M) == expected
+
+
+def test_minimal_part_reads_validate_once(ring, rng, monkeypatch):
+    # minimize validates its input; the tables of what it and interval_sum
+    # build are read without validating them again
+    X = conjugated(direct_sum_all(ring, [interval(ring, 0, 2), interval(ring, 1, 1), disk(ring, 2)]), rng)
+    calls = []
+    real = complexes.validate
+    monkeypatch.setattr(complexes, "validate", lambda Y: calls.append(Y) or real(Y))
+    for read in (homology, min_pair, decompose):
+        calls.clear()
+        read(X)
+        assert len(calls) == 1 and calls[0] is X, read.__name__
 
 
 def test_barcode_of_scrambled_deep_interval_sum(ring):
