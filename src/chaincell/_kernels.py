@@ -18,14 +18,9 @@ the carry p*(op(x % p, ...) // p) of the residue plane.  ``_ring_op``
 holds that rule, and every arithmetic over R below goes through it;
 ``echelon_mod`` and ``rank_mod`` work over the residue field F_p.
 
-``echelon_mod`` has two paths with one output.  The per-pivot loop
-handles every matrix; it skips a pivot's trailing update when the pivot
-is the only nonzero in its column, since the update would then touch the
-pivot row alone.  A matrix with at most one nonzero mod p per column
-(a monomial matrix, as the rebuilt interval sums of ``reduce.decompose``
-give) needs no updates at all, so it is eliminated in one vectorised
-pass instead, once both sides reach ``MONOMIAL_MIN``; below that the
-pass's fixed numpy cost exceeds the loop it replaces.
+``echelon_mod`` is the one F_p elimination: a per-pivot loop that skips
+a pivot's trailing update when the pivot is the only nonzero in its
+column, since the update would then touch the pivot row alone.
 
 int64 bound: a matrix product sums n products of values < p**2, so
 p**4 * n must stay below 2**63 for the inner dimension n, in both
@@ -127,19 +122,9 @@ def echelon_mod(M, p):
     absorb multiples of earlier pivot rows, so ``M[pivot_rows][:,
     pivot_cols]`` is invertible mod p.  Works on the transpose, with
     ``perm`` mapping positions to original rows, so swaps move no data.
-
-    A matrix with at most one nonzero mod p per column and both sides at
-    least ``MONOMIAL_MIN`` goes to ``_echelon_monomial``, which returns
-    the same four outputs byte for byte without the loop.
     """
     AT = np.array(M.T % p, dtype=np.int64, order="C")
     cols, rows = AT.shape
-    if (
-        min(rows, cols) >= MONOMIAL_MIN
-        and np.count_nonzero(AT) <= cols  # a cheap first test: few nonzeros in all
-        and np.count_nonzero(AT, axis=1).max() <= 1
-    ):
-        return _echelon_monomial(AT, p)
     inverse = _inverse_table(p)
     perm = np.arange(rows)
     pivot_cols = []
@@ -164,38 +149,6 @@ def echelon_mod(M, p):
     AT %= p
     # fancy indexing returns the rows in C order, pivot rows first
     return r, perm[:r], np.array(pivot_cols, dtype=np.intp), AT.T[perm]
-
-
-# Both sides of a matrix reach this before echelon_mod tries the monomial
-# pass.  The oracle searches' 1x1 to 3x4 eliminations stay on the loop,
-# where a few pivots cost less than the pass's fixed numpy calls; values
-# from 4 to 16 timed alike on the benchmark's barcode-deep batch.
-MONOMIAL_MIN = 8
-
-
-def _echelon_monomial(AT, p):
-    """``echelon_mod``'s outputs for the transpose AT, reduced mod p, of a
-    matrix with at most one nonzero per column.
-
-    The loop's update for a pivot then touches the pivot row alone, so no
-    entry changes but by the scaling of a pivot row, and each row's pivot
-    is the first column that hits it.  Every row that no column hits is
-    zero, so the order the loop's swaps leave those rows in shows in no
-    output.
-    """
-    cols, rows = AT.shape
-    nonzero = AT != 0
-    first = nonzero.argmax(axis=0)  # the first column that hits each row
-    hit_rows = np.flatnonzero(nonzero.any(axis=0))
-    row_at = np.full(cols, -1, dtype=np.intp)
-    row_at[first[hit_rows]] = hit_rows  # distinct: a column hits one row
-    pivot_cols = np.flatnonzero(row_at >= 0)
-    pivot_rows = row_at[pivot_cols]
-    r = len(pivot_rows)
-    scale = np.array(_inverse_table(p))[AT[pivot_cols, pivot_rows]]
-    reduced = np.zeros((rows, cols), dtype=np.int64)
-    reduced[:r] = AT[:, pivot_rows].T * scale[:, None] % p
-    return r, pivot_rows, pivot_cols, reduced
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,11 +14,12 @@ non-contractible is cellular over them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Optional
 
 from .complexes import ChainComplex
 from .errors import UsageError
-from .reduce import minimize
+from .reduce import _row_ranks, bottom_degree, minimize
 from .ring import check_same_ring
 
 
@@ -45,8 +46,21 @@ class Verdict:
 
 
 def min_pair(X: ChainComplex) -> Optional[tuple]:
-    """Lex-least interval (i, j) of X; None when X is contractible."""
-    return min(minimize(X).barcode(), default=None)
+    """Lex-least interval (i, j) of X; None when X is contractible.
+
+    i is the bottom degree of the minimal model.  Nothing lies below it, so
+    rho(i, i+L) counts the intervals at i of length >= L, and j is the
+    first L where that row of the table drops (top - i if it never does).
+    """
+    mr = minimize(X)
+    i = mr.bottom
+    if i is None:
+        return None
+    row = _row_ranks(mr.minimal, mr.r_parts, i)
+    for j, (here, longer) in enumerate(pairwise(row)):
+        if longer < here:
+            return (i, j)
+    return (i, mr.minimal.top - i)
 
 
 def generator_relation(i: int, j: int, i2: int, j2: int) -> bool:
@@ -71,10 +85,10 @@ def is_cellular(X: ChainComplex, A: ChainComplex) -> Verdict:
 def is_acyclic_over(X: ChainComplex, A: ChainComplex) -> Verdict:
     """Decide X > A (X belongs to the acyclic class of A)."""
     check_same_ring(X, A)
-    mx = min_pair(X)
-    if mx is None:
+    bx = bottom_degree(X)
+    if bx is None:
         return Verdict(True, "x-contractible")
-    ma = min_pair(A)
-    if ma is None:
-        return Verdict(False, "a-contractible", beta_x=mx[0])
-    return Verdict(mx[0] >= ma[0], "bottom", beta_x=mx[0], beta_a=ma[0])
+    ba = bottom_degree(A)
+    if ba is None:
+        return Verdict(False, "a-contractible", beta_x=bx)
+    return Verdict(bx >= ba, "bottom", beta_x=bx, beta_a=ba)

@@ -12,6 +12,7 @@ byte for byte:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -201,50 +202,52 @@ def cone_inclusion(f: ChainMap) -> ChainMap:
 # tensor product
 
 
-def _kron_id(ring: RingSpec, A: np.ndarray, m: int) -> np.ndarray:
-    """Encoded kron(A, 1_m) over R: each entry of A times an m x m identity."""
-    prod = (A % ring.size)[:, None, :, None] * np.eye(m, dtype=np.int64)[None, :, None, :]
+def _eye(m: int) -> np.ndarray:
+    return np.eye(m, dtype=np.int64)
+
+
+def _kron_id(ring: RingSpec, A: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Encoded kron(A, 1_m) over R: each entry of A times the m x m ``eye``."""
+    m = len(eye)
+    prod = (A % ring.size)[:, None, :, None] * eye[None, :, None, :]
     return prod.reshape(A.shape[0] * m, A.shape[1] * m)
 
 
-def _id_kron(ring: RingSpec, m: int, B: np.ndarray, negate) -> np.ndarray:
+def _id_kron(ring: RingSpec, eye: np.ndarray, B: np.ndarray, negate) -> np.ndarray:
     """Encoded kron(1_m, +-B) over R: m copies of B or -B down the diagonal."""
+    m = len(eye)
     B = enc_neg(B, ring.p, ring.flavor_code) if negate else B % ring.size
-    prod = np.eye(m, dtype=np.int64)[:, None, :, None] * B[None, :, None, :]
+    prod = eye[:, None, :, None] * B[None, :, None, :]
     return prod.reshape(m * B.shape[0], m * B.shape[1])
 
 
-def _tensor_blocks(X: ChainComplex, Y: ChainComplex, n: int):
-    """(i, j) summands of degree n, lexicographic with i ascending."""
-    return [
-        (i, n - i)
-        for i in range(max(0, n - Y.top), min(n, X.top) + 1)
-        if X.rank(i) and Y.rank(n - i)
-    ]
-
-
 def tensor(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
+    """X (x) Y; each block is reduced, and negated if need be, as it is written."""
     if X.ring != Y.ring:
         raise UsageError("ring mismatch in tensor")
     ring = X.ring
     if X.is_empty() or Y.is_empty():
         return empty(ring)
-    n_degrees = X.top + Y.top + 1
-    blocks = [_tensor_blocks(X, Y, n) for n in range(n_degrees)]
-    dims = [[X.rank(i) * Y.rank(j) for i, j in bs] for bs in blocks]
-    ranks = [sum(ds) for ds in dims]
+    rx, ry = X.ranks, Y.ranks
+    n_degrees = len(rx) + len(ry) - 1
+    blocks = [
+        [(i, n - i) for i in range(max(0, n - Y.top), min(n, X.top) + 1) if rx[i] and ry[n - i]]
+        for n in range(n_degrees)
+    ]
+    dims = [[rx[i] * ry[j] for i, j in bs] for bs in blocks]
+    eye = functools.cache(_eye)  # one identity per size, made when first needed
     diffs = []
     for n in range(1, n_degrees):
         row_of = {ij: k for k, ij in enumerate(blocks[n - 1])}
         nonzero = {}
         for c, (i, j) in enumerate(blocks[n]):
             if (i - 1, j) in row_of:  # d_X (x) 1
-                nonzero[(row_of[(i - 1, j)], c)] = _kron_id(ring, X.diffs[i - 1].data, Y.rank(j))
+                nonzero[(row_of[(i - 1, j)], c)] = _kron_id(ring, X.diffs[i - 1].data, eye(ry[j]))
             if (i, j - 1) in row_of:  # (-1)^i 1 (x) d_Y
                 d_Y = Y.diffs[j - 1].data
-                nonzero[(row_of[(i, j - 1)], c)] = _id_kron(ring, X.rank(i), d_Y, i % 2)
+                nonzero[(row_of[(i, j - 1)], c)] = _id_kron(ring, eye(rx[i]), d_Y, i % 2)
         diffs.append(linalg.from_blocks(ring, dims[n - 1], dims[n], nonzero))
-    return make_complex(ring, ranks, diffs, check=False)
+    return make_complex(ring, [sum(ds) for ds in dims], diffs, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +290,10 @@ def _hom_diff(X: ChainComplex, Y: ChainComplex, n: int) -> MatrixR:
     nonzero = {}
     for c, i in enumerate(src_blocks):
         if i in row_of:  # d_Y (x) 1
-            nonzero[(row_of[i], c)] = _kron_id(ring, Y.diffs[i + n - 1].data, X.rank(i))
+            nonzero[(row_of[i], c)] = _kron_id(ring, Y.diffs[i + n - 1].data, _eye(X.rank(i)))
         if i + 1 in row_of:  # (-1)^(n-1) 1 (x) d_X^T
             d_X = X.diffs[i].data.T
-            nonzero[(row_of[i + 1], c)] = _id_kron(ring, Y.rank(i + n), d_X, (n - 1) % 2)
+            nonzero[(row_of[i + 1], c)] = _id_kron(ring, _eye(Y.rank(i + n)), d_X, (n - 1) % 2)
     rows = [Y.rank(i + n - 1) * X.rank(i) for i in tgt_blocks]
     cols = [Y.rank(i + n) * X.rank(i) for i in src_blocks]
     return linalg.from_blocks(ring, rows, cols, nonzero)
@@ -323,6 +326,6 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
     if X.top <= 0:
         a = X.rank(0)
         full_ranks = [a * Y.rank(n) for n in range(len(Y.ranks))]
-        full_diffs = [MatrixR(ring, _kron_id(ring, d.data, a)) for d in Y.diffs]
+        full_diffs = [MatrixR(ring, _kron_id(ring, d.data, _eye(a))) for d in Y.diffs]
         full = make_complex(ring, full_ranks, full_diffs, check=False)
     return HomComplex(X, Y, degree0, positive, d1_image_size, full)

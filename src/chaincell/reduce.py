@@ -14,15 +14,19 @@ d = r*B on a minimal complex.  A summand spanning degrees [i, i+j]
 contributes one to rho(a, b) exactly when i <= a <= b <= i+j, so
 inclusion-exclusion on rho recovers the multiplicities, an exact count
 equivalent to peeling off one lowest interval summand at a time.
-``homology`` and ``lattice.min_pair`` read only this barcode.
+``homology`` reads only this barcode.
 
 ``rho_table`` reads the whole table from one sweep down the degrees,
 one F_p elimination per degree: it carries a basis of the image in V_n
 filtered by birth degree (each vector tagged with the degree b it came
 from, the vectors tagged >= b spanning the image of V_b), the
 filtered-basis reduction of Zomorodian and Carlsson ("Computing
-persistent homology", 2005).  ``composite_rank`` keeps the product-chain
-definition as an independent check.
+persistent homology", 2005).  ``_row_ranks`` reads one row as ranks of
+the running products B_{a+1} ... B_b instead: ``composite_rank`` and
+``lattice.min_pair`` read it, and ``decompose`` checks the swept
+table's bottom row against it.  That check catches any wrong entry of
+the bottom row, the row the lattice verdicts read, but not a wrong
+interior entry.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -82,10 +87,20 @@ class MinimizeResult:
             for m in range(len(self.input_ranks))
         ]
 
+    @cached_property
+    def r_parts(self) -> list:
+        """``_r_parts`` of the minimal part, for its table and its rows."""
+        return _r_parts(self.minimal)
+
+    @property
+    def bottom(self) -> Optional[int]:
+        """Lowest degree of the minimal part; None when X is contractible."""
+        return next((n for n, r in enumerate(self.minimal.ranks) if r), None)
+
     def rho_table(self) -> dict:
         """``rho_table`` of the minimal part, which ``minimize`` built valid,
         so it is read without validating it again."""
-        return _rho_sweep(self.minimal)
+        return _rho_sweep(self.minimal, self.r_parts)
 
     def barcode(self) -> Counter:
         """``barcode`` of the minimal part, read as ``rho_table`` above."""
@@ -196,19 +211,27 @@ def _r_parts(M: ChainComplex):
     return parts
 
 
+def _row_ranks(M: ChainComplex, parts: list, a: int):
+    """rho(a, b) for b = a, ..., top, lazily: rank_k of the running product
+    B_{a+1} @ ... @ B_b.  After the first zero no product is formed, since
+    every longer one is zero too."""
+    p = M.ring.p
+    rank, prod = M.ranks[a], None
+    yield rank
+    for B in parts[a + 1 :]:
+        if rank:
+            prod = B if prod is None else matmul_exact(prod, B, p) % p
+            rank = rank_mod(prod, p)
+        yield rank
+
+
 def composite_rank(M: ChainComplex, a: int, b: int) -> int:
     """rank_k(B_{a+1} @ ... @ B_b); equals ranks[a] when a == b."""
     require_valid(M)
     parts = _r_parts(M)
     if not (0 <= a <= b <= M.top):
         raise UsageError(f"degrees out of range: ({a}, {b}) for top {M.top}")
-    if a == b:
-        return M.ranks[a]
-    p = M.ring.p
-    prod = parts[a + 1]
-    for n in range(a + 2, b + 1):
-        prod = matmul_exact(prod, parts[n], p) % p
-    return int(rank_mod(prod, p))
+    return list(islice(_row_ranks(M, parts, a), b - a + 1))[-1]
 
 
 def rho_table(M: ChainComplex) -> dict:
@@ -223,13 +246,13 @@ def rho_table(M: ChainComplex) -> dict:
     one degree lower.
     """
     require_valid(M)
-    return _rho_sweep(M)
+    return _rho_sweep(M, _r_parts(M))
 
 
-def _rho_sweep(M: ChainComplex) -> dict:
-    """``rho_table`` of a complex the package built valid, unvalidated."""
+def _rho_sweep(M: ChainComplex, parts: list) -> dict:
+    """``rho_table`` of a complex the package built valid, from its
+    ``_r_parts``, unvalidated."""
     p = M.ring.p
-    parts = _r_parts(M)
     table = {(a, a): r for a, r in enumerate(M.ranks)}
     basis = np.zeros((M.rank(M.top), 0), dtype=np.int64)
     tags = np.zeros(0, dtype=np.intp)
@@ -270,15 +293,18 @@ def _barcode_from_table(table: dict, n_degrees: int) -> Counter:
 def decompose(X: ChainComplex) -> Decomposition:
     """Full structure: disks from minimization, intervals from the barcode.
 
-    Verifies internally that the reconstruction has the same rank vector
-    as the input and the same rho table as the minimal part.  Invalid
-    input is refused by ``minimize``; both tables are of complexes the
-    package built, read without validating them again.
+    Checks the input's rank in every degree against the intervals and
+    disks, and the table's bottom row rho(i, b) against ``_row_ranks``,
+    which does not go through the sweep.  That catches any wrong entry of
+    the bottom row, the row the lattice verdicts read, but not a wrong
+    interior entry that leaves every multiplicity nonnegative.  Invalid
+    input is refused by ``minimize``.
     """
     mr = minimize(X)
+    M = mr.minimal
     table = mr.rho_table()
-    intervals = _barcode_from_table(table, len(mr.minimal.ranks))
-    dec = Decomposition(intervals, Counter(mr.disks), mr.minimal)
+    intervals = _barcode_from_table(table, len(M.ranks))
+    dec = Decomposition(intervals, Counter(mr.disks), M)
 
     for n in range(len(X.ranks)):
         covering = sum(m for (i, j), m in intervals.items() if i <= n <= i + j)
@@ -288,9 +314,10 @@ def decompose(X: ChainComplex) -> Decomposition:
                 f"rank accounting failed at degree {n}: "
                 f"{X.ranks[n]} != {covering} + {d_here}"
             )
-    rebuilt_min = interval_sum(X.ring, dec.interval_list())
-    if _rho_sweep(rebuilt_min) != table:
-        raise ChaincellError("reconstruction differs from input in its rho table")
+    i = mr.bottom
+    if i is not None:
+        if list(_row_ranks(M, mr.r_parts, i)) != [table[(i, b)] for b in range(i, M.top + 1)]:
+            raise ChaincellError(f"rho table row {i} differs from its product chain")
     return dec
 
 
@@ -318,4 +345,4 @@ def homology(X: ChainComplex) -> list:
 
 def bottom_degree(X: ChainComplex) -> Optional[int]:
     """Lowest degree of the minimal model; None when X is contractible."""
-    return next((n for n, r in enumerate(minimize(X).minimal.ranks) if r), None)
+    return minimize(X).bottom

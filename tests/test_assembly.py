@@ -77,12 +77,21 @@ def _reference_cone(f):
     return make_complex(ring, ranks, diffs, check=False)
 
 
+def _tensor_blocks(X, Y, n):
+    """(i, j) summands of degree n, lexicographic with i ascending."""
+    return [
+        (i, n - i)
+        for i in range(max(0, n - Y.top), min(n, X.top) + 1)
+        if X.rank(i) and Y.rank(n - i)
+    ]
+
+
 def _reference_tensor(X, Y):
     ring = X.ring
     if X.is_empty() or Y.is_empty():
         return empty(ring)
     n_degrees = X.top + Y.top + 1
-    blocks = [ops._tensor_blocks(X, Y, n) for n in range(n_degrees)]
+    blocks = [_tensor_blocks(X, Y, n) for n in range(n_degrees)]
     ranks = [sum(X.rank(i) * Y.rank(j) for i, j in bs) for bs in blocks]
     diffs = []
     for n in range(1, n_degrees):
@@ -322,11 +331,41 @@ def test_from_blocks_refuses_a_block_of_the_wrong_shape(ring):
 
 
 def test_decompose_self_check_fires_on_a_wrong_interval_sum(ring, rng, monkeypatch):
-    summands = [interval(ring, 0, 2), interval(ring, 1, 1), disk(ring, 2)]
+    # decompose checks the swept table's bottom row against its product
+    # chain; each fault below leaves every multiplicity nonnegative and the
+    # rank accounting whole, so only that check can see it
+    summands = [interval(ring, 0, 2), interval(ring, 1, 1), interval(ring, 0, 0)]
     X = conjugated(direct_sum_all(ring, summands), rng)
-    reduce.decompose(X)
-    builder = reduce.interval_sum
-    drop_first = lambda ring, ivs, *rest: builder(ring, ivs[1:], *rest)
-    monkeypatch.setattr(reduce, "interval_sum", drop_first)
-    with pytest.raises(ChaincellError, match="rho table"):
-        reduce.decompose(X)
+    assert reduce.decompose(X).interval_list() == [(0, 0), (0, 2), (1, 1)]
+    with monkeypatch.context() as patch:
+        # (a) the table of the minimal part with d2 zeroed
+        def table_without_d2(mr):
+            M = mr.minimal
+            diffs = [M.d(1), linalg.zeros(ring, M.rank(1), M.rank(2))]
+            return reduce.rho_table(make_complex(ring, M.ranks, diffs))
+
+        patch.setattr(reduce.MinimizeResult, "rho_table", table_without_d2)
+        with pytest.raises(ChaincellError, match="product chain"):
+            reduce.decompose(X)
+    with monkeypatch.context() as patch:
+        # (b) the sweep's last elimination, which writes the bottom row,
+        # loses one pivot
+        sweep, echelon = reduce._rho_sweep, reduce.echelon_mod
+
+        def sweep_losing_a_pivot(M, parts):
+            calls = []
+
+            def short_echelon(A, p):
+                calls.append(A.shape)
+                r, rows, cols, reduced = echelon(A, p)
+                if len(calls) == M.top:
+                    return r - 1, rows[:-1], cols[:-1], reduced
+                return r, rows, cols, reduced
+
+            with monkeypatch.context() as inner:
+                inner.setattr(reduce, "echelon_mod", short_echelon)
+                return sweep(M, parts)
+
+        patch.setattr(reduce, "_rho_sweep", sweep_losing_a_pivot)
+        with pytest.raises(ChaincellError, match="product chain"):
+            reduce.decompose(X)

@@ -6,8 +6,7 @@ a rename under ``src/`` would break ``run.py --trace 1`` without failing
 any other test.  The smoke test runs every workload item once, so a
 crash that would lower a run's ``ok_frac`` fails here first, and the
 replay test checks every elimination of two items against the per-pivot
-reference, so both ``echelon_mod`` paths are checked on the shapes the
-benchmark sends.
+reference, on the shapes the benchmark sends.
 """
 
 import importlib
@@ -20,6 +19,9 @@ import numpy as np
 import pytest
 
 from chaincell import GuardExceeded, _kernels
+from chaincell.lattice import is_acyclic_over, min_pair
+from chaincell.ops import tensor
+from chaincell.ring import parse_ring
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -63,7 +65,7 @@ def test_workload_items_run_once(workloads, name, tmp_path):
 
 def test_benchmark_eliminations_match_reference(workloads, tmp_path, monkeypatch):
     # every echelon_mod call of one barcode-deep and one decompose-disks
-    # item, against the per-pivot reference: both paths on real shapes
+    # item, against the per-pivot reference, on real shapes
     from test_kernels import _assert_same_echelon
 
     real = _kernels.echelon_mod
@@ -81,9 +83,28 @@ def test_benchmark_eliminations_match_reference(workloads, tmp_path, monkeypatch
         for name in ("barcode-deep", "decompose-disks"):
             item = workloads.WORKLOADS[name](1, str(tmp_path), inproc=True)[0]
             assert item.run() == workloads.OK, item.label
-    monomial = 0
+    assert recorded
     for M, p in recorded:
         _assert_same_echelon(M, p)
-        if min(M.shape) >= _kernels.MONOMIAL_MIN and np.count_nonzero(M % p, axis=0).max() <= 1:
-            monomial += 1
-    assert 0 < monomial < len(recorded)
+
+
+def test_min_pair_matches_barcode_on_workload_inputs(workloads):
+    # the barcode-deep tensors and the oracle-cli pairs, built as the
+    # workloads build them
+    from test_lattice import barcode_acyclic_json, barcode_min_pair
+
+    rng = np.random.default_rng(1)
+    for lengths in workloads.DEEP_LENGTHS:
+        for spec in workloads.DEEP_RINGS:
+            ring = parse_ring(spec)
+            X, Y = (workloads._scrambled(ring, workloads.deep_summands(lengths, k), rng) for k in (0, 1))
+            T = tensor(X, Y)
+            assert min_pair(T) == barcode_min_pair(T), spec
+    for spec in workloads.ORACLE_RINGS:
+        ring = parse_ring(spec)
+        for xs, as_ in workloads.ORACLE_PAIRS:
+            X, A = workloads._scrambled(ring, xs, rng), workloads._scrambled(ring, as_, rng)
+            for Z in (X, A):
+                assert min_pair(Z) == barcode_min_pair(Z), (spec, xs, as_)
+            assert is_acyclic_over(X, A).to_json() == barcode_acyclic_json(X, A)
+            assert is_acyclic_over(A, X).to_json() == barcode_acyclic_json(A, X)

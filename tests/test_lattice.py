@@ -4,9 +4,10 @@ import pytest
 
 from chaincell import disk, empty, homology, interval, sphere
 from chaincell.errors import UsageError
-from chaincell.lattice import generator_relation, is_acyclic_over, is_cellular, min_pair
+from chaincell.lattice import Verdict, generator_relation, is_acyclic_over, is_cellular, min_pair
 from chaincell.ops import direct_sum, direct_sum_all, shift
-from chaincell.reduce import bottom_degree, decompose
+from chaincell.randgen import conjugated
+from chaincell.reduce import bottom_degree, decompose, minimize
 from chaincell.ring import RingSpec
 
 from conftest import bounded_random_complex
@@ -126,6 +127,38 @@ def test_summand_selection_monotone(ring, rng):
         A = bounded_random_complex(ring, rng)
         if is_cellular(X, A).holds:
             assert is_cellular(sub, A).holds or min_pair(sub) is None
+
+
+def barcode_min_pair(X):
+    """The lex-least interval read off the whole barcode."""
+    return min(minimize(X).barcode(), default=None)
+
+
+def barcode_acyclic_json(X, A):
+    """``is_acyclic_over(X, A).to_json()`` read off both whole barcodes."""
+    mx, ma = barcode_min_pair(X), barcode_min_pair(A)
+    if mx is None:
+        return Verdict(True, "x-contractible").to_json()
+    if ma is None:
+        return Verdict(False, "a-contractible", beta_x=mx[0]).to_json()
+    return Verdict(mx[0] >= ma[0], "bottom", beta_x=mx[0], beta_a=ma[0]).to_json()
+
+
+def _scrambled_intervals(ring, rng):
+    """Several intervals, often sharing a start at different lengths."""
+    starts = rng.integers(0, 3, size=rng.integers(1, 7))
+    pieces = [interval(ring, int(i), int(rng.integers(0, 5))) for i in starts]
+    return conjugated(direct_sum_all(ring, pieces), rng)
+
+
+def test_min_pair_reads_one_row_as_the_barcode_does(ring, rng):
+    cases = [empty(ring), disk(ring, 2), sphere(ring, 3)]
+    cases += [bounded_random_complex(ring, rng, max_len=7) for _ in range(30)]
+    cases += [_scrambled_intervals(ring, rng) for _ in range(30)]
+    for X in cases:
+        assert min_pair(X) == barcode_min_pair(X), X
+    for X, A in itertools.product(cases[::4], repeat=2):
+        assert is_acyclic_over(X, A).to_json() == barcode_acyclic_json(X, A)
 
 
 def test_contractible_edge_semantics(ring):

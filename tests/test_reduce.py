@@ -166,8 +166,8 @@ def test_rho_table_matches_composite_rank(flavor, p):
 
 
 def test_rho_table_of_interval_sum_counts_coverage(ring, rng):
-    # decompose's self-check table: the matrices of an unscrambled sum have
-    # at most one nonzero per column, so large sums take the monomial pass
+    # the matrices of an unscrambled sum have at most one nonzero per
+    # column, so the sweep's eliminations skip every update
     for n_intervals in [1, 3, 12, 40]:
         intervals = []
         for _ in range(n_intervals):
