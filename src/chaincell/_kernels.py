@@ -20,7 +20,14 @@ holds that rule, and every arithmetic over R below goes through it;
 
 ``echelon_mod`` is the one F_p elimination: a per-pivot loop that skips
 a pivot's trailing update when the pivot is the only nonzero in its
-column, since the update would then touch the pivot row alone.
+column, since the update would then touch the pivot row alone.  With
+``carry`` it also carries the pivot block's residue inverse: the loop
+runs as on [M | I] with pivots sought among M's columns only, keeping
+just the identity columns of the rows that become pivots, one added per
+pivot.  M's pivots and reduced form are those of M alone.
+``lift_inverse`` lifts the carried inverse to the inverse over R;
+``mat_inverse`` and ``reduce.minimize`` both read their inverses this
+way, with no second elimination.
 
 int64 bound: a matrix product sums n products of values < p**2, so
 p**4 * n must stay below 2**63 for the inner dimension n, in both
@@ -98,37 +105,58 @@ mat_mul_many_right = mat_mul  # the name perfbench's kernel rows still time
 def mat_inverse(A, p, flavor):
     """Inverse over R of a packed square matrix whose residue is invertible.
 
-    The elimination of [A | I] over F_p ends in [I | x0] with x0 the
-    residue inverse.  Then A*x0 = I - E with E in m, and E*E = 0, so one
-    correction step X = x0 + x0*E is exact: A*X = (I - E)(I + E) = I.
+    One elimination of A over F_p that carries the residue inverse
+    (``echelon_mod`` with ``carry``), lifted to R by ``lift_inverse``.
+    ``reduce.minimize`` reads its P^-1 the same way, off the elimination
+    that finds P.
     """
     n = A.shape[0]
-    eye = np.eye(n, dtype=np.int64)
-    _, _, pivot_cols, reduced = echelon_mod(np.hstack([A, eye]), p)
-    if n and pivot_cols[-1] >= n:
+    rank, pivot_rows, _, reduced = echelon_mod(A, p, carry=True)
+    if rank < n:
         raise UsageError("residue matrix is singular")
-    x0 = reduced[:, n:]
-    E = enc_sub(eye, mat_mul(A, x0, p, flavor), p, flavor)
+    x0 = np.empty((n, n), dtype=np.int64)
+    x0[:, pivot_rows] = reduced[:, n:]  # carried column k belongs to row pivot_rows[k]
+    return lift_inverse(A, x0, p, flavor)
+
+
+def lift_inverse(A, x0, p, flavor):
+    """The inverse over R of a square A, from a residue inverse x0.
+
+    A*x0 = I - E with E in m, and E*E = 0, so one correction step
+    X = x0 + x0*E is exact: A*X = (I - E)(I + E) = I.
+    """
+    E = enc_sub(np.eye(A.shape[0], dtype=np.int64), mat_mul(A, x0, p, flavor), p, flavor)
     return enc_add(x0, mat_mul(x0, E, p, flavor), p, flavor)
 
 
-def echelon_mod(M, p):
+def echelon_mod(M, p, carry=False):
     """Gauss-Jordan elimination over F_p, pivoting column by column.
 
     Returns ``(rank, pivot_rows, pivot_cols, reduced)``: the k-th pivot
     sits at original row ``pivot_rows[k]`` and column ``pivot_cols[k]``
     (columns ascending), and ``reduced`` is the reduced row echelon form
     with the pivot rows first, in pivot order.  The pivot rows only ever
-    absorb multiples of earlier pivot rows, so ``M[pivot_rows][:,
-    pivot_cols]`` is invertible mod p.  Works on the transpose, with
-    ``perm`` mapping positions to original rows, so swaps move no data.
+    absorb multiples of pivot rows, so ``M[pivot_rows][:, pivot_cols]``
+    is invertible mod p.  Works on the transpose, with ``perm`` mapping
+    positions to original rows, so swaps move no data.
+
+    With ``carry``, ``reduced`` has ``rank`` more columns: those of the
+    identity in the elimination of [M | I] whose pivots are sought among
+    M's columns only, read at ``pivot_rows``.  The other identity
+    columns stay zero in every pivot row, so ``reduced[:rank, cols:]`` is
+    the inverse of that pivot block mod p.  The k-th carried column is
+    added when row ``pivot_rows[k]`` becomes the k-th pivot; before that
+    it is zero in every row, so the updates stop at the last one added.
     """
     AT = np.array(M.T % p, dtype=np.int64, order="C")
     cols, rows = AT.shape
+    if carry:
+        AT = np.vstack([AT, np.zeros((min(rows, cols), rows), dtype=np.int64)])
     inverse = _inverse_table(p)
     perm = np.arange(rows)
     pivot_cols = []
     r = 0
+    end = cols  # the updates reach M's columns and the carried ones added so far
     for c in range(cols):
         if r == rows:
             break
@@ -139,13 +167,17 @@ def echelon_mod(M, p):
         piv = r + nz[0]
         perm[r], perm[piv] = perm[piv], perm[r]
         pr = perm[r]
+        if carry:
+            AT[end, pr] = 1
+            end += 1
         # the pivot row is zero mod p left of c, so columns < c need no update
-        row = AT[c:, pr] * inverse[col[pr]] % p
+        row = AT[c:end, pr] * inverse[col[pr]] % p
         if nz.size > 1 or col[perm[:r]].any():  # else the update touches row pr alone
-            AT[c:] -= row[:, None] * col
-        AT[c:, pr] = row
+            AT[c:end] -= row[:, None] * col
+        AT[c:end, pr] = row
         pivot_cols.append(c)
         r += 1
+    AT = AT[:end]
     AT %= p
     # fancy indexing returns the rows in C order, pivot rows first
     return r, perm[:r], np.array(pivot_cols, dtype=np.intp), AT.T[perm]

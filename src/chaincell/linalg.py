@@ -150,10 +150,14 @@ def is_invertible(P: MatrixR) -> bool:
 
 
 def inverse_matrix(A: MatrixR) -> MatrixR:
-    """Inverse of an invertible square matrix over R."""
-    if not is_invertible(A):
+    """Inverse of an invertible square matrix over R, from one elimination:
+    ``mat_inverse`` refuses a singular residue itself."""
+    if A.rows != A.cols:
         raise UsageError("matrix is not invertible")
-    return MatrixR(A.ring, _kernels.mat_inverse(A.data, A.ring.p, A.ring.flavor_code))
+    try:
+        return MatrixR(A.ring, _kernels.mat_inverse(A.data, A.ring.p, A.ring.flavor_code))
+    except UsageError:
+        raise UsageError("matrix is not invertible") from None
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ block P, one pivot per embedded disk; the Gaussian elimination lemma
 (Bar-Natan, "Fast Khovanov homology computations", 2007, Lemma 4.2)
 splits all of them off in one invertible block change and leaves the
 Schur complement T - S*P^-1*Q, whose residue is zero; the steps are
-recorded and multiplied out into certificates only when read.  What
+recorded and multiplied out into certificates only when read.  One
+F_p elimination per degree finds P and its inverse: it runs as on
+[D | I] with pivots sought among D's columns only, so it carries P's
+residue inverse, which one correction step lifts to P^-1 over R.  What
 remains is minimal (all differential entries in the maximal ideal) and
 decomposes into interval summands; ``barcode`` counts them through the
 composite-rank table rho(a, b) = rank over k of B_{a+1} ... B_b, where
@@ -40,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from ._kernels import echelon_mod, enc_add, enc_sub, mat_inverse, mat_mul, matmul_exact, rank_mod
+from ._kernels import echelon_mod, enc_add, enc_sub, lift_inverse, mat_mul, matmul_exact, rank_mod
 from .complexes import ChainComplex, ModuleDescriptor, interval_sum, make_complex, require_valid
 from .errors import ChaincellError, UsageError
 from .linalg import MatrixR
@@ -131,6 +134,9 @@ def minimize(X: ChainComplex) -> MinimizeResult:
 
     One block step per degree, lowest first, with pivots from the F_p
     row echelon of the residue (so the certificates are reproducible).
+    The step's one elimination of D carries P's residue inverse, as the
+    elimination of [D | I] with pivots among D's columns would, and
+    ``lift_inverse`` lifts it to P^-1 without a second elimination.
     A step touches only the pivot rows and columns of the neighbouring
     differentials, which vanish there, so one sweep leaves every
     differential minimal.
@@ -145,14 +151,15 @@ def minimize(X: ChainComplex) -> MinimizeResult:
         D = W[n]
         if not np.any(D % p):
             continue
-        s, I, J, _ = echelon_mod(D, p)
-        Ic, Jc = _complement(I, D.shape[0]), _complement(J, D.shape[1])
+        rows, cols = D.shape
+        s, I, J, reduced = echelon_mod(D, p, carry=True)
+        Ic, Jc = _complement(I, rows), _complement(J, cols)
         # D = [[P, Q], [S, T]] in (I, Ic) x (J, Jc) order.  The column change
         # C = [[P^-1, -P^-1 Q], [0, 1]] on degree n and the row change
         # R = [[1, 0], [-S P^-1, 1]] on degree n-1 give
         # R D C = [[1, 0], [0, T - S P^-1 Q]]
         D_I, D_Ic = D[I], D[Ic]
-        P_inv = mat_inverse(D_I[:, J], p, fl)
+        P_inv = lift_inverse(D_I[:, J], reduced[:s, cols:], p, fl)
         Q = D_I[:, Jc]
         SP_inv = mat_mul(D_Ic[:, J], P_inv, p, fl)
         W[n] = enc_sub(D_Ic[:, Jc], mat_mul(SP_inv, Q, p, fl), p, fl)

@@ -71,9 +71,9 @@ def test_benchmark_eliminations_match_reference(workloads, tmp_path, monkeypatch
     real = _kernels.echelon_mod
     recorded = []
 
-    def recording(M, p):
-        recorded.append((M.copy(), p))
-        return real(M, p)
+    def recording(M, p, carry=False):
+        recorded.append((M.copy(), p, carry))
+        return real(M, p, carry)
 
     with monkeypatch.context() as patch:
         for module in [m for n, m in sys.modules.items() if n.startswith("chaincell") and m]:
@@ -83,9 +83,10 @@ def test_benchmark_eliminations_match_reference(workloads, tmp_path, monkeypatch
         for name in ("barcode-deep", "decompose-disks"):
             item = workloads.WORKLOADS[name](1, str(tmp_path), inproc=True)[0]
             assert item.run() == workloads.OK, item.label
-    assert recorded
-    for M, p in recorded:
-        _assert_same_echelon(M, p)
+    # decompose-disks' minimize carries the pivot block's inverse
+    assert {carry for *_, carry in recorded} == {False, True}
+    for M, p, carry in recorded:
+        _assert_same_echelon(M, p, carry)
 
 
 def test_min_pair_matches_barcode_on_workload_inputs(workloads):

@@ -4,26 +4,28 @@
 rows at every pivot; ``_kernels.echelon_mod`` must return the same
 rank, pivot rows, pivot columns and reduced matrix, byte for byte,
 also on matrices with at most one nonzero per column, where it skips
-every update.
+every update.  With ``carry`` it must return the reference's
+elimination of [M | I], pivots limited to M's columns, read on M's
+columns and on the identity columns of the pivot rows.
 """
 
 import numpy as np
 import pytest
 
 from chaincell import _kernels
-from chaincell._kernels import echelon_mod, mat_inverse, rank_mod
+from chaincell._kernels import echelon_mod, lift_inverse, mat_inverse, rank_mod
 from chaincell.errors import UsageError
 
 PRIMES = [2, 3, 5, 251]
 
 
-def _reference_echelon(M, p):
+def _reference_echelon(M, p, limit=None):
     A = np.ascontiguousarray(M % p, dtype=np.int64).copy()
     rows, cols = A.shape
     order = list(range(rows))
     pivot_cols = []
     r = 0
-    for c in range(cols):
+    for c in range(cols if limit is None else limit):
         if r == rows:
             break
         nz = np.nonzero(A[r:, c])[0]
@@ -43,8 +45,18 @@ def _reference_echelon(M, p):
     return r, np.array(order[:r], dtype=np.intp), np.array(pivot_cols, dtype=np.intp), A
 
 
-def _assert_same_echelon(M, p):
-    got, want = echelon_mod(M, p), _reference_echelon(M, p)
+def _reference_carried(M, p):
+    """The reference elimination of [M | I] with pivots among M's columns."""
+    rows, cols = M.shape
+    return _reference_echelon(np.hstack([M, np.eye(rows, dtype=np.int64)]), p, limit=cols)
+
+
+def _assert_same_echelon(M, p, carry=False):
+    got = echelon_mod(M, p, carry)
+    want = _reference_carried(M, p) if carry else _reference_echelon(M, p)
+    if carry:  # M's columns, then the identity columns of the pivot rows
+        cols = M.shape[1]
+        want = want[:3] + (np.ascontiguousarray(want[3][:, np.r_[:cols, cols + want[1]]]),)
     assert got[0] == want[0] == rank_mod(M, p)
     for g, w in zip(got[1:], want[1:]):
         assert (g.dtype, g.shape) == (w.dtype, w.shape)
@@ -174,3 +186,32 @@ def test_echelon_updates_earlier_pivot_rows(p):
             M = _later_pivots_hit_earlier_rows(rng, p, n, cols)
             assert _assert_same_echelon(M, p)[0] == n
             _assert_same_echelon(M.T.copy(), p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_carried_elimination_gives_the_residue_inverse(p):
+    # D's pivots and reduced form as alone; on the pivot rows the carried
+    # block of [D | I] is P^-1 mod p on columns I (P = D[I][:, J]) and zero
+    # on the other identity columns; lifted, it is mat_inverse's output
+    rng = np.random.default_rng(700 + p)
+    shapes = [(6, 6), (12, 5), (5, 12), (1, 9), (9, 1), (20, 20), (3, 30), (30, 3)]
+    shapes += [tuple(rng.integers(1, 25, size=2)) for _ in range(24)]
+    for rows, cols in shapes:
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        residues = (rng.integers(0, p, size=(rows, cols)), _random_rank(rng, p, rows, cols, rank))
+        for residue in residues:
+            D = residue + p * rng.integers(0, p, size=(rows, cols))
+            s, I, J, reduced = _assert_same_echelon(D, p, carry=True)
+            alone = echelon_mod(D, p)
+            assert s == alone[0] and reduced.shape == (rows, cols + s)
+            assert I.tobytes() == alone[1].tobytes() and J.tobytes() == alone[2].tobytes()
+            assert np.array_equal(reduced[:, :cols], alone[3])
+            others = cols + np.setdiff1d(np.arange(rows), I)  # identity columns of non-pivot rows
+            assert not _reference_carried(D, p)[3][:s, others].any()
+            P = D[I][:, J]
+            assert np.array_equal(P @ reduced[:s, cols:] % p, np.eye(s, dtype=np.int64))
+            for flavor in (_kernels.FLAVOR_DUAL, _kernels.FLAVOR_ZPSQ):
+                lifted = lift_inverse(P, reduced[:s, cols:], p, flavor)
+                want = mat_inverse(P, p, flavor)
+                assert (lifted.dtype, lifted.shape) == (want.dtype, want.shape)
+                assert lifted.tobytes() == want.tobytes()

@@ -81,6 +81,20 @@ def test_inverse_matrix_round_trip(ring, rng):
             assert linalg.matmul(inv, A) == linalg.identity(ring, n)
 
 
+def test_inverse_matrix_refuses_singular_and_non_square(ring, monkeypatch):
+    # one elimination decides: no rank pre-check runs before mat_inverse
+    monkeypatch.setattr(linalg, "is_invertible", None)
+    one, r = ring.one(), ring.r()
+    singular = [
+        linalg.from_elements(ring, [[r]]),
+        linalg.zeros(ring, 3, 3),
+        linalg.from_elements(ring, [[one, r], [ring.element(1, 1), r]]),
+    ]
+    for A in singular + [linalg.zeros(ring, 2, 3), linalg.zeros(ring, 3, 2)]:
+        with pytest.raises(UsageError, match="^matrix is not invertible$"):
+            linalg.inverse_matrix(A)
+
+
 def test_kron_agrees_with_entrywise_products(ring):
     a = linalg.from_elements(ring, [[ring.one(), ring.r()]])
     b = linalg.from_elements(ring, [[ring.element(1, 1)], [ring.r()]])

@@ -3,7 +3,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from chaincell import complexes, disk, empty, homology, interval, linalg, make_complex, reduce, sphere
+from chaincell import (
+    _kernels,
+    complexes,
+    disk,
+    empty,
+    homology,
+    interval,
+    linalg,
+    make_complex,
+    reduce,
+    sphere,
+)
 from chaincell.complexes import interval_sum
 from chaincell.errors import ChaincellError, UsageError
 from chaincell.lattice import min_pair
@@ -106,11 +117,41 @@ def test_minimize_block_checks(ring, monkeypatch):
         minimize(make_complex(ring, [1, 1, 1], [one, one], check=False))
     with pytest.raises(ChaincellError, match="outgoing"):
         minimize(make_complex(ring, [1, 1, 1], [r, one], check=False))
-    monkeypatch.setattr(
-        reduce, "echelon_mod", lambda D, p: (1, np.array([0]), np.array([0]), None)
-    )
+    real = reduce.echelon_mod
+
+    def one_pivot(M, p, carry=False):  # the true elimination, all but its first pivot dropped
+        _, rows, cols, reduced = real(M, p, carry)
+        return 1, rows[:1], cols[:1], reduced[:, : M.shape[1] + 1]
+
+    monkeypatch.setattr(reduce, "echelon_mod", one_pivot)
     with pytest.raises(ChaincellError, match="Schur"):
         minimize(make_complex(ring, [2, 2], [linalg.identity(ring, 2)], check=False))
+
+
+def test_minimize_eliminates_once_per_block_step(ring, monkeypatch):
+    # each step reads P^-1 off its own elimination of D; mat_inverse would
+    # eliminate P a second time
+    calls = []
+    real = reduce.echelon_mod
+
+    def spy(M, p, carry=False):
+        calls.append((M.shape, carry))
+        return real(M, p, carry)
+
+    def no_second_elimination(*args):
+        raise AssertionError("minimize called mat_inverse")
+
+    parts = [interval(ring, 0, 2)] + [disk(ring, n) for n in (1, 2, 2, 3)]
+    X = conjugated(direct_sum_all(ring, parts), np.random.default_rng(3))
+    monkeypatch.setattr(reduce, "echelon_mod", spy)
+    monkeypatch.setattr(_kernels, "mat_inverse", no_second_elimination)
+    assert not hasattr(reduce, "mat_inverse")
+    result = minimize(X)
+    assert Counter(result.disks) == Counter([1, 2, 2, 3])
+    assert len(calls) == len(result.steps) == 3
+    for (shape, carry), (n, *_rest) in zip(calls, result.steps):
+        assert shape == (X.ranks[n - 1] - result.disks.count(n - 1), X.ranks[n]) and carry
+    assert verify_certificates(X, result)
 
 
 def test_composite_rank_examples(ring):
