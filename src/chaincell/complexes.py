@@ -278,6 +278,11 @@ def brute_homology(X: ChainComplex, work_limit: int = BRUTE_WORK_LIMIT) -> list:
     Refuses when the enumeration would exceed work_limit vectors.
     """
     require_valid(X)
+    return _brute_homology(X, work_limit)
+
+
+def _brute_homology(X: ChainComplex, work_limit: int) -> list:
+    """``brute_homology`` of a complex its caller validated, unvalidated."""
     work = _brute_work(X)
     if work > work_limit:
         raise GuardExceeded(

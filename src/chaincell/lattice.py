@@ -19,7 +19,7 @@ from typing import Optional
 
 from .complexes import ChainComplex
 from .errors import UsageError
-from .reduce import _row_ranks, bottom_degree, minimize
+from .reduce import MinimizeResult, _row_ranks, bottom_degree, minimize
 from .ring import check_same_ring
 
 
@@ -52,7 +52,11 @@ def min_pair(X: ChainComplex) -> Optional[tuple]:
     rho(i, i+L) counts the intervals at i of length >= L, and j is the
     first L where that row of the table drops (top - i if it never does).
     """
-    mr = minimize(X)
+    return _min_pair(minimize(X))
+
+
+def _min_pair(mr: MinimizeResult) -> Optional[tuple]:
+    """``min_pair`` read off a minimization result."""
     i = mr.bottom
     if i is None:
         return None
@@ -73,10 +77,13 @@ def generator_relation(i: int, j: int, i2: int, j2: int) -> bool:
 def is_cellular(X: ChainComplex, A: ChainComplex) -> Verdict:
     """Decide X >> A (X belongs to the cellular class of A)."""
     check_same_ring(X, A)
-    mx = min_pair(X)
+    return _cellular_verdict(min_pair(X), min_pair(A))
+
+
+def _cellular_verdict(mx: Optional[tuple], ma: Optional[tuple]) -> Verdict:
+    """``is_cellular`` from the min pairs of X and A."""
     if mx is None:
         return Verdict(True, "x-contractible", min_pair_x=None)
-    ma = min_pair(A)
     if ma is None:
         return Verdict(False, "a-contractible", min_pair_x=mx, min_pair_a=None)
     return Verdict(ma <= mx, "lex", min_pair_x=mx, min_pair_a=ma)

@@ -36,18 +36,19 @@ from .complexes import (
     ModuleDescriptor,
     _all_vectors,
     _boundaries,
+    _brute_homology,
     _codes,
     _keys,
-    brute_homology,
     make_complex,
     module_from_sizes,
     require_valid,
 )
-from .errors import DomainError, GuardExceeded, UsageError
-from .lattice import is_cellular
+from .errors import ChaincellError, DomainError, GuardExceeded, UsageError
+from .lattice import _cellular_verdict, _min_pair
 from .linalg import MatrixR
 from .ops import ChainMap, desuspend
-from .reduce import bottom_degree, minimize
+from .reduce import minimize
+from .ring import check_same_ring
 
 
 # Chunked enumerations hold at most about this many entries per chunk.
@@ -259,12 +260,17 @@ def exists_h0_epi(A: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard
     Requires H_0(A) != 0 (the surjectivity criterion's hypothesis);
     desuspend the pair first when the bottom degree is positive.
     """
-    require_valid(A)
+    bottom = minimize(A).bottom  # minimize validates A
     require_valid(Y)
-    if bottom_degree(A) != 0:  # nothing lies below it, so H_0(A) != 0 exactly when it is 0
+    if bottom != 0:  # nothing lies below it, so H_0(A) != 0 exactly when it is 0
         raise DomainError(
             "H_0 of the generator vanishes; desuspend the pair before testing"
         )
+    return _exists_h0_epi(A, Y, guard)
+
+
+def _exists_h0_epi(A: ChainComplex, Y: ChainComplex, guard: SizeGuard) -> bool:
+    """``exists_h0_epi`` of a validated pair with H_0(A) != 0."""
     ring = Y.ring
     p, fl = ring.p, ring.flavor_code
     guard.check("H0 coset table", ring.size ** Y.rank(0))
@@ -324,8 +330,8 @@ class CrossCheck:
 
 
 def _brute_bottom(X: ChainComplex, guard: SizeGuard) -> Optional[int]:
-    """Lowest degree with nonzero homology, computed elementwise."""
-    for n, descr in enumerate(brute_homology(X, work_limit=guard.max_search_space)):
+    """Lowest degree with nonzero homology of a validated X, computed elementwise."""
+    for n, descr in enumerate(_brute_homology(X, guard.max_search_space)):
         if not descr.is_zero():
             return n
     return None
@@ -337,15 +343,23 @@ def cross_check(X: ChainComplex, A: ChainComplex, guard: SizeGuard = SizeGuard()
     The criterion applies directly when A has homology in degree 0.
     Otherwise both sides are desuspended by the bottom degree of A
     (which preserves the relation), and when X's homology starts below
-    A's the relation already fails for support reasons.
+    A's the relation already fails for support reasons.  Each input is
+    validated and minimized once; the minimal model of A must start
+    where its elementwise homology does.
     """
-    lattice_verdict = is_cellular(X, A).holds
+    check_same_ring(X, A)
+    mx, ma = minimize(X), minimize(A)
+    lattice_verdict = _cellular_verdict(_min_pair(mx), _min_pair(ma)).holds
     bottom_a = _brute_bottom(A, guard)
+    if ma.bottom != bottom_a:
+        raise ChaincellError(
+            f"minimal model of A starts at degree {ma.bottom}, its homology at {bottom_a}"
+        )
     if bottom_a is None:
         oracle_verdict = _brute_bottom(X, guard) is None
         route = "acyclic-generator"
     elif bottom_a == 0:
-        oracle_verdict = exists_h0_epi(A, X, guard)
+        oracle_verdict = _exists_h0_epi(A, X, guard)
         route = "h0-epi"
     else:
         bottom_x = _brute_bottom(X, guard)
@@ -353,9 +367,9 @@ def cross_check(X: ChainComplex, A: ChainComplex, guard: SizeGuard = SizeGuard()
             oracle_verdict = False
             route = "support"
         else:
-            a_down = desuspend(minimize(A).minimal, bottom_a)
-            x_down = desuspend(minimize(X).minimal, bottom_a)
-            oracle_verdict = exists_h0_epi(a_down, x_down, guard)
+            a_down = desuspend(ma.minimal, bottom_a)
+            x_down = desuspend(mx.minimal, bottom_a)
+            oracle_verdict = _exists_h0_epi(a_down, x_down, guard)
             route = f"h0-epi-desuspended-{bottom_a}"
     return CrossCheck(lattice_verdict, oracle_verdict, lattice_verdict == oracle_verdict, route)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .complexes import ChainComplex, disk, interval, make_complex
-from .errors import DomainError, InvalidComplexError
+from .errors import DomainError, InvalidComplexError, UsageError
 from .linalg import MatrixR
 from .ops import direct_sum_all
 from .ring import RingSpec
@@ -59,19 +59,26 @@ def random_complex(
 
 
 def random_invertible(ring: RingSpec, rng, n: int, attempts: int = 1000) -> MatrixR:
+    return _random_invertible_pair(ring, rng, n, attempts)[0]
+
+
+def _random_invertible_pair(ring: RingSpec, rng, n: int, attempts: int = 1000) -> tuple:
+    """(U, U^-1) for a uniform draw U, rejecting draws with a singular
+    residue; one elimination per draw both tests and inverts it."""
     for _ in range(attempts):
-        data = rng.integers(0, ring.size, size=(n, n), dtype=np.int64)
-        m = MatrixR(ring, data)
-        if linalg.is_invertible(m):
-            return m
+        m = MatrixR(ring, rng.integers(0, ring.size, size=(n, n), dtype=np.int64))
+        try:
+            return m, linalg.inverse_matrix(m)
+        except UsageError:
+            continue
     raise DomainError(f"no invertible {n}x{n} matrix found in {attempts} attempts")
 
 
 def conjugated(X: ChainComplex, rng) -> ChainComplex:
     """An isomorphic copy of X under random basis changes in every degree."""
-    us = [random_invertible(X.ring, rng, r) for r in X.ranks]
+    pairs = [_random_invertible_pair(X.ring, rng, r) for r in X.ranks]
     diffs = [
-        linalg.apply_basis_change(X.d(n), linalg.inverse_matrix(us[n - 1]), us[n])
+        linalg.apply_basis_change(X.d(n), pairs[n - 1][1], pairs[n][0])
         for n in range(1, len(X.ranks))
     ]
     return make_complex(X.ring, X.ranks, diffs, check=False)

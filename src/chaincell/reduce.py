@@ -24,7 +24,15 @@ one F_p elimination per degree: it carries a basis of the image in V_n
 filtered by birth degree (each vector tagged with the degree b it came
 from, the vectors tagged >= b spanning the image of V_b), the
 filtered-basis reduction of Zomorodian and Carlsson ("Computing
-persistent homology", 2005).  ``_row_ranks`` reads one row as ranks of
+persistent homology", 2005).  Each degree is eliminated at its own
+width dim V_n: with ``free`` the rows of V_n that did not become pivot
+rows of the elimination that built ``basis``, G = [basis | e_free] is
+invertible, since in the row order (pivot rows, free) it is block lower
+triangular with the invertible pivot block and an identity on its
+diagonal.  So B_n G = [B_n basis | B_n[:, free]] spans Im B_n as
+[B_n basis | B_n] does, with the same filtered prefixes, and the k =
+rank B_{n+1} columns of B_n that ``basis`` already spans are never
+eliminated.  ``_row_ranks`` reads one row as ranks of
 the running products B_{a+1} ... B_b instead: ``composite_rank`` and
 ``lattice.min_pair`` read it, and ``decompose`` checks the swept
 table's bottom row against it.  That check catches any wrong entry of
@@ -246,11 +254,17 @@ def rho_table(M: ChainComplex) -> dict:
 
     One sweep from the top degree down.  Entering degree n, ``basis`` is
     a basis of Im(V_{n+1} -> V_n) whose columns tagged >= b span
-    Im(V_b -> V_n), tags descending.  The columns of [B_n basis | B_n],
-    B_n's own tagged n, then span every Im(V_b -> V_{n-1}) for b >= n
-    as prefixes, and the pivot columns of one F_p elimination are the
+    Im(V_b -> V_n), tags descending, and ``free`` holds the rows of V_n
+    that were not pivot rows of the elimination that built it (all of
+    V_top at the start).  G = [basis | e_free] is invertible: the
+    elimination leaves basis[pivot rows] invertible mod p, so G is block
+    lower triangular in the row order (pivot rows, free) with that block
+    and an identity on its diagonal.  The columns of
+    B_n G = [B_n basis | B_n[:, free]], the second part tagged n, then
+    span Im(V_n -> V_{n-1}) and every Im(V_b -> V_{n-1}) for b > n as
+    prefixes, and the pivot columns of one F_p elimination are the
     greedy independent set in column order, so they keep that property
-    one degree lower.
+    one degree lower.  Each elimination is ranks[n-1] x ranks[n].
     """
     require_valid(M)
     return _rho_sweep(M, _r_parts(M))
@@ -258,17 +272,24 @@ def rho_table(M: ChainComplex) -> dict:
 
 def _rho_sweep(M: ChainComplex, parts: list) -> dict:
     """``rho_table`` of a complex the package built valid, from its
-    ``_r_parts``, unvalidated."""
+    ``_r_parts``, unvalidated.
+
+    Degree n eliminates [B_n basis | B_n[:, free]], dim V_n columns, not
+    [B_n basis | B_n]: G = [basis | e_free] is invertible, so both span
+    Im B_n with the same prefixes for tags > n (see ``rho_table``).
+    """
     p = M.ring.p
     table = {(a, a): r for a, r in enumerate(M.ranks)}
     basis = np.zeros((M.rank(M.top), 0), dtype=np.int64)
+    free = np.arange(M.rank(M.top))
     tags = np.zeros(0, dtype=np.intp)
     for n in range(M.top, 0, -1):
         B = parts[n]
-        columns = np.hstack([matmul_exact(B, basis, p) % p, B])
-        _, _, pivots, _ = echelon_mod(columns, p)
+        columns = np.hstack([matmul_exact(B, basis, p) % p, B[:, free]])
+        _, pivot_rows, pivots, _ = echelon_mod(columns, p)
+        tags = np.concatenate([tags, np.full(len(free), n, dtype=np.intp)])[pivots]
         basis = columns[:, pivots]
-        tags = np.concatenate([tags, np.full(B.shape[1], n, dtype=np.intp)])[pivots]
+        free = _complement(pivot_rows, B.shape[0])
         # rho(n-1, b) counts the tags >= b, all of them in one pass
         at_least = np.cumsum(np.bincount(tags, minlength=M.top + 1)[::-1])[::-1].tolist()
         for b in range(n, M.top + 1):

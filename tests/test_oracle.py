@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chaincell import (
+    complexes,
     disk,
     empty,
     homology,
@@ -17,7 +18,7 @@ from chaincell import (
 from chaincell._kernels import enc_add, mat_mul
 from chaincell.complexes import module_from_sizes
 from chaincell.errors import DomainError, GuardExceeded, UsageError
-from chaincell.ops import direct_sum, is_chain_map, shift
+from chaincell.ops import direct_sum, direct_sum_all, is_chain_map, shift
 from chaincell.oracle import (
     SizeGuard,
     chain_map_module,
@@ -132,6 +133,39 @@ def test_cross_check_desuspension_routes(p2_ring):
     assert r2.agree and r2.route == "support"
     r3 = cross_check(disk(p2_ring, 2), disk(p2_ring, 1))
     assert r3.agree and r3.route == "acyclic-generator"
+
+
+@pytest.mark.parametrize(
+    "entry, xs, as_",
+    [
+        (cross_check, ((0, 0), (0, 1)), ((0, 1),)),  # h0-epi
+        (cross_check, ((1, 2),), ((1, 1),)),  # desuspended
+        (cross_check, ((1, 0),), ((2, 0),)),  # support
+        (cross_check, ((0, 1),), ()),  # acyclic generator
+        (exists_h0_epi, ((0, 0),), ((0, 1), (1, 1))),
+        (chain_map_module, ((0, 1),), ((0, 0), (1, 0))),
+        (hom_boundary_image_size, ((0, 1),), ((0, 1),)),
+        (enumerate_chain_maps, ((0, 1),), ((0, 0),)),
+    ],
+    ids=[
+        "cross_check-h0-epi",
+        "cross_check-desuspended",
+        "cross_check-support",
+        "cross_check-acyclic",
+        "exists_h0_epi",
+        "chain_map_module",
+        "hom_boundary_image_size",
+        "enumerate_chain_maps",
+    ],
+)
+def test_oracle_entries_validate_each_input_once(p2_ring, monkeypatch, entry, xs, as_):
+    X = direct_sum_all(p2_ring, [interval(p2_ring, i, j) for i, j in xs])
+    A = direct_sum_all(p2_ring, [interval(p2_ring, i, j) for i, j in as_] or [disk(p2_ring, 1)])
+    calls = []
+    real = complexes.validate
+    monkeypatch.setattr(complexes, "validate", lambda Y: calls.append(Y) or real(Y))
+    entry(X, A)
+    assert sum(c is X for c in calls) == 1 and sum(c is A for c in calls) == 1, entry.__name__
 
 
 def test_extension_of_spheres_gives_interval(ring):

@@ -18,7 +18,7 @@ from chaincell import (
 from chaincell.complexes import interval_sum
 from chaincell.errors import ChaincellError, UsageError
 from chaincell.lattice import min_pair
-from chaincell.ops import direct_sum, direct_sum_all, shift
+from chaincell.ops import direct_sum, direct_sum_all, shift, tensor
 from chaincell.reduce import (
     barcode,
     bottom_degree,
@@ -188,13 +188,40 @@ def _minimal_with_mixed_parts(ring, rng, max_degree=7, max_rank=5):
     return make_complex(ring, ranks, diffs)
 
 
+def _minimal_from_parts(ring, ranks, parts):
+    """The minimal complex with d_n = r * parts[n - 1]."""
+    diffs = [linalg.MatrixR(ring, ring.p * (np.asarray(B, dtype=np.int64) % ring.p)) for B in parts]
+    return make_complex(ring, ranks, diffs)
+
+
+def _deep_tensor(ring, rng):
+    """A tensor of two scrambled interval sums with 7 to 11 degrees, shaped
+    like the barcode-deep inputs: one interval spans each factor."""
+    factors = []
+    for top in (int(t) for t in rng.integers(3, 6, size=2)):
+        lengths = (top, top // 2, 1, 0)
+        parts = [interval(ring, int(rng.integers(0, top - j + 1)), j) for j in lengths[1:]]
+        factors.append(conjugated(direct_sum_all(ring, [interval(ring, 0, top)] + parts), rng))
+    return tensor(*factors)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("flavor", ["zpsq", "dual"])
 def test_rho_table_matches_composite_rank(flavor, p):
     # the one-sweep table against the product-chain definition, entry by entry
     ring = RingSpec(flavor, p)
     rng = np.random.default_rng(p)
+    full = lambda rows, cols: rng.integers(0, p, size=(rows, cols))
     cases = [empty(ring), sphere(ring, 0), sphere(ring, 3), make_complex(ring, [3], [])]
+    cases += [
+        # d2 = 0: degree 2 finds no pivot, so every row of V_1 stays free
+        _minimal_from_parts(ring, [2, 3, 2], [full(2, 3), np.zeros((3, 2))]),
+        # B_2 has full row rank: no row of V_1 stays free
+        _minimal_from_parts(ring, [3, 2, 3], [full(3, 2), [[1, 0, 1], [0, 1, 1]]]),
+        # a zero-rank degree between nonzero ones
+        _minimal_from_parts(ring, [2, 3, 0, 2, 3], [full(2, 3), full(3, 0), full(0, 2), full(2, 3)]),
+        _deep_tensor(ring, rng),
+    ]
     cases += [_minimal_with_mixed_parts(ring, rng) for _ in range(40)]
     for M in cases:
         n_degrees = len(M.ranks)
@@ -204,6 +231,20 @@ def test_rho_table_matches_composite_rank(flavor, p):
             for b in range(a, n_degrees)
         }
         assert rho_table(M) == expected
+
+
+def test_rho_sweep_eliminates_each_degree_at_its_own_width(ring, rng, monkeypatch):
+    # the columns of B_n that the carried basis already spans are left out:
+    # degree n eliminates [B_n basis | B_n[:, free]], ranks[n] columns
+    shapes = []
+    real = reduce.echelon_mod
+    monkeypatch.setattr(reduce, "echelon_mod", lambda M, p: shapes.append(M.shape) or real(M, p))
+    for _ in range(3):
+        M = _deep_tensor(ring, rng)
+        assert 7 <= len(M.ranks) <= 11
+        shapes.clear()
+        rho_table(M)
+        assert shapes == [(M.ranks[n - 1], M.ranks[n]) for n in range(M.top, 0, -1)]
 
 
 def test_rho_table_of_interval_sum_counts_coverage(ring, rng):
