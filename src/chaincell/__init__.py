@@ -26,13 +26,10 @@ from .errors import (
 )
 from .lattice import Verdict, generator_relation, is_acyclic_over, is_cellular, min_pair
 from .linalg import (
-    MatrixK,
     MatrixR,
     apply_basis_change,
     is_invertible,
     matmul,
-    matmul_k,
-    rank_k,
 )
 from .ops import (
     ChainMap,

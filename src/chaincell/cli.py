@@ -26,14 +26,23 @@ from .ring import parse_ring
 DEFAULT_RING = "zpsq:2"
 
 
+def _count(text: str) -> int:
+    """An integer argument that must be >= 0; argparse refuses anything else
+    as a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--ring", help="ring spec, e.g. zpsq:2 or dual:3")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--guard", type=int, help="enumeration budget override")
-    common.add_argument(
-        "--force", action="store_true", help="load invalid complexes for diagnosis"
-    )
+    common.add_argument("--seed", type=_count, default=0, help="random seed")
+    common.add_argument("--guard", type=_count, help="enumeration budget override")
     common.add_argument(
         "--output",
         choices=["compact", "pretty", "explain"],
@@ -64,13 +73,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add("tensor", "file_x", "file_y", help="tensor product")
     add("hom", "file_x", "file_y", help="hom complex")
     shift_p = add("shift", "file", help="suspension by n")
-    shift_p.add_argument("amount", type=int)
+    shift_p.add_argument("amount", type=_count)
     gen_p = add("gen", help="emit a canonical complex")
     gen_p.add_argument("kind", choices=["sphere", "disk", "interval"])
     gen_p.add_argument("params", type=int, nargs="+")
     rand_p = add("rand", help="seeded random complex")
-    rand_p.add_argument("--max-degree", type=int, default=4)
-    rand_p.add_argument("--max-rank", type=int, default=3)
+    rand_p.add_argument("--max-degree", type=_count, default=4)
+    rand_p.add_argument("--max-rank", type=_count, default=3)
     rand_p.add_argument("--allow-units", action="store_true")
     add("crosscheck", "file_x", "file_a", help="lattice verdict vs brute-force H0 criterion")
     add("extension", "file_x", "file_z", help="random extension of Z by X")
@@ -81,12 +90,10 @@ def _ring_override(args):
     return parse_ring(args.ring) if args.ring else None
 
 
-def _load(args, attr="file", force=None):
+def _load(args, attr="file", force=False):
     path = getattr(args, attr)
     return serialize.load_complex(
-        path,
-        force=args.force if force is None else force,
-        ring_override=_ring_override(args),
+        path, force=force, ring_override=_ring_override(args)
     )
 
 
@@ -169,9 +176,7 @@ def _relation(args, decide, name):
 
 
 def _cmd_cone(args):
-    f = serialize.load_chain_map(
-        args.file_map, force=args.force, ring_override=_ring_override(args)
-    )
+    f = serialize.load_chain_map(args.file_map, ring_override=_ring_override(args))
     _emit(args, serialize.complex_to_dict(ops.cone(f)))
     return 0
 
@@ -206,8 +211,6 @@ def _cmd_hom(args):
 
 def _cmd_shift(args):
     X = _load(args)
-    if args.amount < 0:
-        raise UsageError("shift amount must be >= 0")
     _emit(args, serialize.complex_to_dict(ops.shift(X, args.amount)))
     return 0
 

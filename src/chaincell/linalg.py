@@ -1,10 +1,9 @@
-"""Dense matrices over a coefficient ring R and over its residue field k.
+"""Dense matrices over a coefficient ring R.
 
-MatrixR stores encoded int64 entries (see _kernels); MatrixK stores
-integers in [0, p).  Rank computation only ever happens over k: R is not
-a field, and every elimination over R in this package pivots on units.
-Arrays are marked read-only after construction; treat both types as
-immutable values.
+MatrixR stores encoded int64 entries (see _kernels).  Rank computation
+only ever happens over the residue field k: R is not a field, and every
+elimination over R in this package pivots on units.  Arrays are marked
+read-only after construction; treat matrices as immutable values.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import enc_neg
 from .errors import UsageError
-from .ring import RingElement, RingSpec, check_same_ring
+from .ring import RingSpec, check_same_ring
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -49,21 +48,16 @@ class MatrixR:
             return NotImplemented
         return self.ring == other.ring and np.array_equal(self.data, other.data)
 
-    def entry(self, i: int, j: int) -> RingElement:
-        return self.ring.from_encoded(int(self.data[i, j]))
-
     def pairs(self):
         """Entries as [a, b] pairs, row by row (the serialization format)."""
         p = self.ring.p
         return np.stack((self.data % p, self.data // p), -1).tolist()
 
-    def residue(self) -> "MatrixK":
-        return MatrixK(self.ring.p, self.data % self.ring.p)
-
     def __str__(self) -> str:
         return f"MatrixR({self.ring}, {self.rows}x{self.cols})"
 
 
+# MatrixK, matmul_k and rank_k: names perfbench's tracer still wraps
 @dataclass
 class MatrixK:
     p: int
@@ -98,13 +92,6 @@ def identity(ring: RingSpec, n: int) -> MatrixR:
     return MatrixR(ring, np.eye(n, dtype=np.int64))
 
 
-def from_elements(ring: RingSpec, rows) -> MatrixR:
-    data = np.array(
-        [[x.encoded for x in row] for row in rows], dtype=np.int64
-    ).reshape(len(rows), len(rows[0]) if rows else 0)
-    return MatrixR(ring, data)
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 
@@ -133,10 +120,6 @@ def is_zero(A: MatrixR) -> bool:
     return not np.any(A.data)
 
 
-def transpose(A: MatrixR) -> MatrixR:
-    return MatrixR(A.ring, A.data.T)
-
-
 def rank_k(A: MatrixK) -> int:
     return int(_kernels.rank_mod(A.data, A.p))
 
@@ -146,7 +129,7 @@ def apply_basis_change(A: MatrixR, P: MatrixR, Q: MatrixR) -> MatrixR:
 
 
 def is_invertible(P: MatrixR) -> bool:
-    return P.rows == P.cols and rank_k(P.residue()) == P.rows
+    return P.rows == P.cols and _kernels.rank_mod(P.data, P.ring.p) == P.rows
 
 
 def inverse_matrix(A: MatrixR) -> MatrixR:
@@ -179,8 +162,3 @@ def from_blocks(ring: RingSpec, row_sizes, col_sizes, blocks) -> MatrixR:
             raise UsageError(f"block ({i}, {j}) has shape {arr.shape}, expected {dest.shape}")
         dest[...] = arr
     return MatrixR(ring, data)
-
-
-def submatrix(A: MatrixR, row_idx, col_idx) -> MatrixR:
-    data = A.data[np.ix_(list(row_idx), list(col_idx))]
-    return MatrixR(A.ring, data)

@@ -192,9 +192,8 @@ def cone_inclusion(f: ChainMap) -> ChainMap:
     C = cone(f)
     mats = []
     for n in range(max(len(Y.ranks), len(C.ranks))):
-        data = np.zeros((C.rank(n), Y.rank(n)), dtype=np.int64)
-        data[: Y.rank(n), :] = np.eye(Y.rank(n), dtype=np.int64)
-        mats.append(MatrixR(Y.ring, data))
+        rows = [Y.rank(n), X.rank(n - 1)]
+        mats.append(linalg.from_blocks(Y.ring, rows, [Y.rank(n)], {(0, 0): _eye(Y.rank(n))}))
     return ChainMap(Y, C, tuple(mats))
 
 

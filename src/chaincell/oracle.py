@@ -45,7 +45,7 @@ from .complexes import (
 )
 from .errors import ChaincellError, DomainError, GuardExceeded, UsageError
 from .lattice import _cellular_verdict, _min_pair
-from .linalg import MatrixR
+from .linalg import MatrixR, from_blocks
 from .ops import ChainMap, desuspend
 from .reduce import minimize
 from .ring import check_same_ring
@@ -428,26 +428,20 @@ def extension(X: ChainComplex, Z: ChainComplex, hs: dict, seed=None) -> Extensio
 
     ring = X.ring
     n_degrees = max(len(X.ranks), len(Z.ranks))
-    ranks = [X.rank(n) + Z.rank(n) for n in range(n_degrees)]
+    sizes = [[X.rank(n), Z.rank(n)] for n in range(n_degrees)]
     diffs = []
     for n in range(1, n_degrees):
-        data = np.zeros((ranks[n - 1], ranks[n]), dtype=np.int64)
-        data[: X.rank(n - 1), : X.rank(n)] = X.d(n).data
-        data[X.rank(n - 1) :, X.rank(n) :] = Z.d(n).data
-        h = hs.get(n)
-        if h is not None:
-            data[: X.rank(n - 1), X.rank(n) :] = h
-        diffs.append(MatrixR(ring, data))
-    Y = make_complex(ring, ranks, diffs, check=True)
+        blocks = {(0, 0): X.d(n).data, (1, 1): Z.d(n).data}
+        if n in hs:
+            blocks[(0, 1)] = hs[n]
+        diffs.append(from_blocks(ring, sizes[n - 1], sizes[n], blocks))
+    Y = make_complex(ring, [sum(s) for s in sizes], diffs, check=True)
 
     incl_mats, proj_mats = [], []
     for n in range(n_degrees):
-        inc = np.zeros((Y.rank(n), X.rank(n)), dtype=np.int64)
-        inc[: X.rank(n), :] = np.eye(X.rank(n), dtype=np.int64)
-        incl_mats.append(MatrixR(ring, inc))
-        prj = np.zeros((Z.rank(n), Y.rank(n)), dtype=np.int64)
-        prj[:, X.rank(n) :] = np.eye(Z.rank(n), dtype=np.int64)
-        proj_mats.append(MatrixR(ring, prj))
+        eye_x, eye_z = np.eye(X.rank(n), dtype=np.int64), np.eye(Z.rank(n), dtype=np.int64)
+        incl_mats.append(from_blocks(ring, sizes[n], [X.rank(n)], {(0, 0): eye_x}))
+        proj_mats.append(from_blocks(ring, [Z.rank(n)], sizes[n], {(0, 1): eye_z}))
     return Extension(
         Y,
         ChainMap(X, Y, tuple(incl_mats)),

@@ -2,8 +2,9 @@
 
 One writer, fixed key order, so emitted files are byte-reproducible:
 parse(emit(x)) == x and emit(parse(emit(x))) == emit(x).  Parsers
-reject out-of-range entry pairs always; shape violations and d*d != 0
-only pass under force=True (diagnosis mode).
+reject out-of-range entry pairs always.  Only a complex can be forced:
+under force=True its shape violations and d*d != 0 pass, so that the
+``validate`` command can diagnose them.  Chain maps are always checked.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _parse_matrix(ring: RingSpec, rows, expected_shape, force: bool):
+def _parse_matrix(ring: RingSpec, rows, expected_shape, force: bool = False):
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise InvalidComplexError("differential must be a list of rows")
     n_rows = len(rows)
@@ -136,38 +137,35 @@ def chain_map_to_dict(f: ChainMap) -> dict:
     }
 
 
-def chain_map_from_dict(data, force: bool = False, ring_override: RingSpec = None) -> ChainMap:
+def chain_map_from_dict(data, ring_override: RingSpec = None) -> ChainMap:
     if not isinstance(data, dict):
         raise InvalidComplexError("chain map file must hold a JSON object")
     for key in ("source", "target", "mats"):
         if key not in data:
             raise InvalidComplexError(f"missing key {key!r}")
-    source = complex_from_dict(data["source"], force=force, ring_override=ring_override)
-    target = complex_from_dict(data["target"], force=force, ring_override=ring_override)
+    source = complex_from_dict(data["source"], ring_override=ring_override)
+    target = complex_from_dict(data["target"], ring_override=ring_override)
     degrees = max(len(source.ranks), len(target.ranks))
     mats_raw = data["mats"]
     if not isinstance(mats_raw, list):
         raise InvalidComplexError("mats must be a list of matrices")
-    if len(mats_raw) != degrees and not force:
+    if len(mats_raw) != degrees:
         raise InvalidComplexError(
             f"expected {degrees} matrices, found {len(mats_raw)}"
         )
     mats = [
-        _parse_matrix(
-            source.ring, rows, (target.rank(n), source.rank(n)), force
-        )
+        _parse_matrix(source.ring, rows, (target.rank(n), source.rank(n)))
         for n, rows in enumerate(mats_raw)
     ]
     f = ChainMap(source, target, tuple(mats))
-    if not force:
-        problem = is_chain_map(f)
-        if problem is not None:
-            raise InvalidComplexError(f"not a chain map: {problem}")
+    problem = is_chain_map(f)
+    if problem is not None:
+        raise InvalidComplexError(f"not a chain map: {problem}")
     return f
 
 
-def load_chain_map(path, force: bool = False, ring_override: RingSpec = None) -> ChainMap:
-    return chain_map_from_dict(_read_json(path), force=force, ring_override=ring_override)
+def load_chain_map(path, ring_override: RingSpec = None) -> ChainMap:
+    return chain_map_from_dict(_read_json(path), ring_override=ring_override)
 
 
 # ---------------------------------------------------------------------------

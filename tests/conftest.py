@@ -41,6 +41,17 @@ def bounded_random_complex(ring, rng, max_len=5, max_rank=4):
             return X
 
 
+def from_elements(ring, rows):
+    """MatrixR from a nested list of RingElements."""
+    data = np.array([[x.encoded for x in row] for row in rows], dtype=np.int64)
+    return MatrixR(ring, data.reshape(len(rows), len(rows[0]) if rows else 0))
+
+
+def entry(A, i, j):
+    """Entry (i, j) of a MatrixR as a RingElement."""
+    return A.ring.from_encoded(int(A.data[i, j]))
+
+
 def reference_kron(A, B):
     """Kronecker product over R by entrywise ring products; row-major pair
     ordering (A-index major).  The assembly tests compare against it."""

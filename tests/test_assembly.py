@@ -36,7 +36,7 @@ from chaincell.ops import (
 from chaincell.oracle import SizeGuard, enumerate_chain_maps
 from chaincell.randgen import conjugated
 
-from conftest import bounded_random_complex, reference_kron
+from conftest import bounded_random_complex, from_elements, reference_kron
 
 
 def _reference_block(ring, grid):
@@ -127,7 +127,7 @@ def _reference_hom_diff(X, Y, n):
                 m = reference_kron(Y.d(isrc + n), linalg.identity(ring, X.rank(isrc)))
             elif it == isrc + 1:
                 eye = linalg.identity(ring, Y.rank(it + n - 1))
-                m = reference_kron(eye, linalg.transpose(X.d(it)))
+                m = reference_kron(eye, linalg.MatrixR(ring, X.d(it).data.T))
                 if (n - 1) % 2:
                     m = linalg.neg(m)
             else:
@@ -154,7 +154,7 @@ def _reference_interval(ring, i, j):
     diffs = []
     for k in range(len(ranks) - 1):
         if ranks[k] and ranks[k + 1]:
-            diffs.append(linalg.from_elements(ring, [[gen]]))
+            diffs.append(from_elements(ring, [[gen]]))
         else:
             diffs.append(linalg.zeros(ring, ranks[k], ranks[k + 1]))
     return ChainComplex(ring, tuple(ranks), tuple(diffs))
@@ -267,7 +267,7 @@ def test_cone_matches_grid_assembly(ring, rng):
     r_map = ChainMap(
         interval(ring, 0, 1),
         interval(ring, 0, 0),
-        (linalg.from_elements(ring, [[ring.r()]]), linalg.zeros(ring, 0, 1)),
+        (from_elements(ring, [[ring.r()]]), linalg.zeros(ring, 0, 1)),
     )
     for f in maps + [r_map]:
         _assert_same_bytes(cone(f), _reference_cone(f))

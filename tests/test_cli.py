@@ -6,10 +6,10 @@ import pytest
 from chaincell import cli, linalg, serialize
 from chaincell.complexes import disk, empty, interval, sphere
 from chaincell.errors import InvalidComplexError, UsageError
-from chaincell.ops import make_chain_map
+from chaincell.ops import identity_map, make_chain_map
 from chaincell.ring import RingSpec
 
-from conftest import bounded_random_complex
+from conftest import bounded_random_complex, from_elements
 
 Z4 = RingSpec("zpsq", 2)
 
@@ -74,7 +74,7 @@ def test_chain_map_round_trip(ring):
     f = make_chain_map(
         interval(ring, 0, 1),
         interval(ring, 0, 0),
-        [linalg.from_elements(ring, [[ring.r()]]), linalg.zeros(ring, 0, 1)],
+        [from_elements(ring, [[ring.r()]]), linalg.zeros(ring, 0, 1)],
     )
     text = serialize.dumps(serialize.chain_map_to_dict(f))
     back = serialize.chain_map_from_dict(json.loads(text))
@@ -96,6 +96,19 @@ def _write(tmp_path, name, obj):
     return str(path)
 
 
+# not complexes: d1*d2 != 0, a missing differential, a 2x2 differential
+# against ranks [1, 1]
+INVALID = {
+    "dd": {"ring": "zpsq:2", "ranks": [1, 1, 1], "differentials": [[[[1, 0]]], [[[1, 0]]]]},
+    "missing": {"ring": "zpsq:2", "ranks": [1, 1, 1], "differentials": [[[[1, 0]]]]},
+    "shape": {
+        "ring": "zpsq:2",
+        "ranks": [1, 1],
+        "differentials": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],
+    },
+}
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
@@ -103,9 +116,26 @@ def files(tmp_path):
     paths["E02"] = _write(tmp_path, "E02.json", serialize.complex_to_dict(interval(Z4, 0, 2)))
     paths["D1"] = _write(tmp_path, "D1.json", serialize.complex_to_dict(disk(Z4, 1)))
     paths["S1"] = _write(tmp_path, "S1.json", serialize.complex_to_dict(sphere(Z4, 1)))
-    bad = {"ring": "zpsq:2", "ranks": [1, 1, 1], "differentials": [[[[1, 0]]], [[[1, 0]]]]}
-    paths["bad"] = _write(tmp_path, "bad.json", bad)
+    paths["bad"] = _write(tmp_path, "bad.json", INVALID["dd"])
     return paths
+
+
+ONE_FILE = ["homology", "minimize", "decompose", "shift"]
+TWO_FILE = ["cell", "acyclic", "sum", "tensor", "hom", "crosscheck", "extension"]
+
+
+def _invalid_argvs(tmp_path, name):
+    """Every subcommand that reads complexes, on the invalid complex ``name``
+    (in each file position, and as either end of a chain map for cone)."""
+    bad = _write(tmp_path, "bad.json", INVALID[name])
+    good_dict = serialize.complex_to_dict(interval(Z4, 0, 1))
+    good = _write(tmp_path, "good.json", good_dict)
+    argvs = [[cmd, bad] + (["1"] if cmd == "shift" else []) for cmd in ONE_FILE]
+    argvs += [[cmd, bad, good] for cmd in TWO_FILE] + [[cmd, good, bad] for cmd in TWO_FILE]
+    for end in ("source", "target"):
+        ends = {"source": good_dict, "target": good_dict, end: INVALID[name]}
+        argvs.append(["cone", _write(tmp_path, f"map_{end}.json", {**ends, "mats": []})])
+    return argvs
 
 
 def test_cli_cell_exit_codes(files, capsys):
@@ -138,6 +168,79 @@ def test_cli_validate(files, capsys):
 def test_cli_invalid_input_exit_3(files, capsys):
     assert cli.run(["decompose", files["bad"]]) == 3
     assert "invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(INVALID))
+def test_cli_refuses_every_invalid_complex(tmp_path, capsys, name):
+    # no subcommand but validate computes on a file that is not a complex
+    for argv in _invalid_argvs(tmp_path, name):
+        assert cli.run(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("invalid input:"), argv
+
+
+@pytest.mark.parametrize("name", sorted(INVALID))
+def test_cli_validate_diagnoses_every_invalid_complex(tmp_path, capsys, name):
+    assert cli.run(["validate", _write(tmp_path, "bad.json", INVALID[name])]) == 3
+    captured = capsys.readouterr()
+    diagnostic = json.loads(captured.out)["diagnostic"]
+    assert captured.err == f"invalid complex: {diagnostic}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "E01"],
+        ["homology", "E01"],
+        ["minimize", "E01"],
+        ["decompose", "E01"],
+        ["cell", "E02", "E01"],
+        ["acyclic", "E01", "E02"],
+        ["cone", "map"],
+        ["sum", "E01", "S1"],
+        ["tensor", "E01", "S1"],
+        ["hom", "D1", "D1"],
+        ["shift", "E01", "1"],
+        ["gen", "sphere", "0"],
+        ["rand"],
+        ["crosscheck", "E02", "E01"],
+        ["extension", "E01", "S1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_force_is_not_an_option(files, tmp_path, capsys, argv):
+    files["map"] = _write(
+        tmp_path, "map.json", serialize.chain_map_to_dict(identity_map(interval(Z4, 0, 1)))
+    )
+    argv = [files.get(a, a) for a in argv]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert cli.run(argv + ["--force"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --force" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rand", "--max-rank", "-1"],
+        ["rand", "--max-degree", "-3"],
+        ["rand", "--max-degree", "-1"],
+        ["rand", "--seed", "-1"],
+        ["shift", "E01", "-1"],
+        ["hom", "D1", "D1", "--guard", "-5"],
+        ["crosscheck", "E02", "E01", "--guard", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_cli_negative_integer_arguments_exit_2(files, capsys, argv):
+    assert cli.run([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error" not in captured.err
+    assert "expected an integer >= 0" in captured.err
 
 
 def test_cli_json_booleans_exit_3(tmp_path, capsys):
@@ -289,7 +392,7 @@ def test_cli_ops_subcommands(files, tmp_path, capsys):
     f = make_chain_map(
         interval(Z4, 0, 1),
         interval(Z4, 0, 0),
-        [linalg.from_elements(Z4, [[Z4.r()]]), linalg.zeros(Z4, 0, 1)],
+        [from_elements(Z4, [[Z4.r()]]), linalg.zeros(Z4, 0, 1)],
     )
     fpath = _write(tmp_path, "f.json", serialize.chain_map_to_dict(f))
     assert cli.run(["cone", fpath]) == 0

@@ -22,7 +22,7 @@ from chaincell.errors import DomainError, GuardExceeded, InvalidComplexError, Us
 from chaincell.ops import direct_sum
 from chaincell.ring import RingSpec
 
-from conftest import bounded_random_complex
+from conftest import bounded_random_complex, entry, from_elements
 
 Z4 = RingSpec("zpsq", 2)
 
@@ -49,11 +49,11 @@ def test_interval_conventions(ring):
     assert interval(ring, 0, 0) == sphere(ring, 0)
     e02 = interval(ring, 0, 2)
     assert e02.ranks == (1, 1, 1)
-    r_mat = linalg.from_elements(ring, [[ring.r()]])
+    r_mat = from_elements(ring, [[ring.r()]])
     assert e02.d(1) == r_mat and e02.d(2) == r_mat
     e11 = interval(ring, 1, 1)
     assert e11.ranks == (0, 1, 1)
-    assert e11.d(2) == linalg.from_elements(ring, [[-ring.r()]])
+    assert e11.d(2) == from_elements(ring, [[-ring.r()]])
 
 
 def test_validate_examples(ring):
@@ -197,7 +197,7 @@ def naive_brute_homology(X):
 
     def apply(d, v):  # d @ v as a tuple of encoded entries
         return tuple(
-            sum((d.entry(i, j) * v[j] for j in range(d.cols)), ring.zero()).encoded
+            sum((entry(d, i, j) * v[j] for j in range(d.cols)), ring.zero()).encoded
             for i in range(d.rows)
         )
 
@@ -212,7 +212,7 @@ def naive_brute_homology(X):
 
 
 def test_brute_homology_matches_naive(ring, rng):
-    r = linalg.from_elements(ring, [[ring.r()]])
+    r = from_elements(ring, [[ring.r()]])
     zero_top = ChainComplex(ring, (1, 1, 0), (r, linalg.zeros(ring, 1, 0)))
     assert validate(zero_top) is None
     cases = [

@@ -141,15 +141,15 @@ def test_complex_parser_raises_only_documented_errors(data, force):
 
 
 @settings(max_examples=200, deadline=None)
-@given(chain_map_dicts(), st.booleans())
-def test_chain_map_parser_raises_only_documented_errors(data, force):
+@given(chain_map_dicts())
+def test_chain_map_parser_raises_only_documented_errors(data):
     try:
-        serialize.chain_map_from_dict(data, force=force)
+        serialize.chain_map_from_dict(data)
     except (InvalidComplexError, UsageError):
         pass
 
 
-TWO_FILE_COMMANDS = ["cell", "acyclic", "sum", "tensor", "hom", "crosscheck"]
+TWO_FILE_COMMANDS = ["cell", "acyclic", "sum", "tensor", "hom", "crosscheck", "extension"]
 ONE_FILE_COMMANDS = ["validate", "homology", "minimize", "decompose", "shift"]
 
 

@@ -1,5 +1,5 @@
-"""Every import in the package sits at module level, and no private
-module-level name is dead.
+"""Every import in the package sits at module level, and no module-level
+helper is dead.
 
 An import inside a function body hides a dependency cycle between
 modules.  The one left, ``ops.hom_complex`` reaching the enumeration
@@ -9,7 +9,8 @@ oracle, goes when Hom is computed by linear algebra.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "chaincell"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "chaincell"
 
 # (module, function, imported name)
 ALLOWED = {("ops", "hom_complex", "oracle")}
@@ -56,18 +57,57 @@ def _referenced(stmt):
     return names
 
 
-def test_no_dead_private_helpers():
-    # a module-level _name (function, class or constant) must be read by some
-    # statement of src/ other than its own definition
+def _module_statements():
     statements = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         statements += [(path.stem, stmt) for stmt in tree.body]
+    return statements
+
+
+def _read_elsewhere(name, stmt, statements):
+    return any(name in _referenced(other) for _, other in statements if other is not stmt)
+
+
+def test_no_dead_private_helpers():
+    # a module-level _name (function, class or constant) must be read by some
+    # statement of src/ other than its own definition
+    statements = _module_statements()
     dead = []
     for module, stmt in statements:
         for name in _defined(stmt):
             if not name.startswith("_") or name.startswith("__"):
                 continue
-            if not any(name in _referenced(other) for _, other in statements if other is not stmt):
+            if not _read_elsewhere(name, stmt, statements):
                 dead.append(f"{module}.{name}")
+    assert not dead, dead
+
+
+def _named_in_perfbench():
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names |= _referenced(tree)
+        strings = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)]
+        names |= {v for v in strings if isinstance(v, str)}
+    return names
+
+
+def test_no_dead_public_helpers():
+    # a public module-level function or class must be read by another statement
+    # of src/ (an export from chaincell/__init__ is such a read) or be named in
+    # perfbench/; randgen's generators exist for the test suites
+    statements = _module_statements()
+    perfbench = _named_in_perfbench()
+    dead = []
+    for module, stmt in statements:
+        if module == "randgen" or not isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            continue
+        name = stmt.name
+        if name.startswith("_") or name in perfbench:
+            continue
+        if not _read_elsewhere(name, stmt, statements):
+            dead.append(f"{module}.{name}")
     assert not dead, dead

@@ -31,7 +31,7 @@ from chaincell.oracle import (
 )
 from chaincell.ring import RingSpec
 
-from conftest import bounded_random_complex
+from conftest import bounded_random_complex, entry
 
 Z4 = RingSpec("zpsq", 2)
 
@@ -47,7 +47,7 @@ def test_enumerate_interval_to_sphere(ring):
     maps = enumerate_chain_maps(interval(ring, 0, 1), interval(ring, 0, 0))
     assert len(maps) == ring.p
     for f in maps:
-        assert not f.mat(0).entry(0, 0).is_unit()
+        assert not entry(f.mat(0), 0, 0).is_unit()
 
 
 def test_enumerate_from_empty(ring, rng):

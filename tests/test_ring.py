@@ -8,7 +8,7 @@ from chaincell._kernels import MAX_P
 from chaincell.errors import DomainError, UsageError
 from chaincell.ring import RingSpec, lift, parse_ring, times_r
 
-from conftest import ALL_RINGS
+from conftest import ALL_RINGS, entry, from_elements
 
 
 def test_parse_ring_strings():
@@ -34,12 +34,12 @@ def test_matmul_exact_at_max_p(flavor):
     u = ring.element(MAX_P - 1, MAX_P - 1)
     n = 4096
     prod = linalg.matmul(
-        linalg.from_elements(ring, [[u] * n]), linalg.from_elements(ring, [[u]] * n)
+        from_elements(ring, [[u] * n]), from_elements(ring, [[u]] * n)
     )
     expected = ring.zero()
     for _ in range(n):
         expected = expected + u * u
-    assert prod.entry(0, 0) == expected
+    assert entry(prod, 0, 0) == expected
 
 
 def test_r_squares_to_zero(ring):
