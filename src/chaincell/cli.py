@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (and relation holds), 1 relation does not hold
 (cell / acyclic / crosscheck), 2 usage error, 3 invalid input complex,
-4 enumeration guard refusal, 5 internal error (any other exception,
+4 guard or degree-cap refusal, 5 internal error (any other exception,
 such as running out of memory).  Results go to stdout in the canonical
 formats; diagnostics go to stderr.
 """

@@ -5,6 +5,10 @@ trimmed, so the empty complex is canonical) plus one differential
 matrix per positive degree, with d(n) of shape ranks[n-1] x ranks[n]
 and d(n) @ d(n+1) = 0.
 
+Complexes and matrices are frozen values.  Every public function
+validates the complexes it takes through ``require_valid``, which
+computes a complex's ``validate`` verdict once and keeps it on it.
+
 Homology groups over these rings are always of the form R^a (+) k^b
 (``ModuleDescriptor``); ``reduce.homology`` reads them off the barcode,
 and ``brute_homology`` recomputes them by elementwise enumeration so the
@@ -13,7 +17,7 @@ shortcut can be checked against the definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -24,13 +28,22 @@ from .linalg import MatrixR
 from .ring import RingSpec
 
 BRUTE_WORK_LIMIT = 1 << 20
+# A complex spans at most this many degrees.  Building one costs about
+# 13 us and 0.4 KB a degree, so the cap is checked before anything is built.
+MAX_DEGREES = 1 << 16
+
+_UNKNOWN = object()  # the verdict of a complex not validated yet
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainComplex:
     ring: RingSpec
     ranks: tuple
     diffs: tuple  # diffs[k] = d_{k+1}, shape ranks[k] x ranks[k+1]
+    # validate's verdict once known: None when well formed, else its diagnostic
+    _verdict: object = field(default=_UNKNOWN, init=False, repr=False, compare=False)
+
+    __hash__ = None  # unhashable, as its matrices are
 
     @property
     def top(self) -> int:
@@ -71,6 +84,15 @@ def make_complex(ring: RingSpec, ranks, diffs, check: bool = True) -> ChainCompl
         problem = validate(cx)
         if problem is not None:
             raise InvalidComplexError(problem)
+        object.__setattr__(cx, "_verdict", None)
+    return cx
+
+
+def _inherit_verdict(cx: ChainComplex, *sources: ChainComplex) -> ChainComplex:
+    """cx, marked valid when every complex it was built from carries a
+    valid verdict; otherwise its verdict stays unknown until first use."""
+    if all(X._verdict is None for X in sources):
+        object.__setattr__(cx, "_verdict", None)
     return cx
 
 
@@ -100,9 +122,17 @@ def validate(X: ChainComplex) -> Optional[str]:
 
 
 def require_valid(X: ChainComplex):
-    problem = validate(X)
-    if problem is not None:
-        raise UsageError(f"invalid complex: {problem}")
+    """Refuse an invalid complex, validating it only if its verdict is unknown."""
+    if X._verdict is _UNKNOWN:
+        object.__setattr__(X, "_verdict", validate(X))
+    if X._verdict is not None:
+        raise UsageError(f"invalid complex: {X._verdict}")
+
+
+def _check_degrees(n: int):
+    """Refuse a complex of n degrees above ``MAX_DEGREES`` before it is built."""
+    if n > MAX_DEGREES:
+        raise GuardExceeded(f"{n} degrees exceed the cap of {MAX_DEGREES}", required=n)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +178,9 @@ def interval_sum(ring: RingSpec, intervals, disks=()) -> ChainComplex:
     signed_r = (ring.element(0, 1).encoded, ring.element(0, -1).encoded)  # r, -r
     spans = [(i, i + j, signed_r[i % 2]) for i, j in intervals]
     spans += [(n - 1, n, 1) for n in disks]
-    ranks = [0] * (max((hi for _, hi, _ in spans), default=-1) + 1)
+    n_degrees = max((hi for _, hi, _ in spans), default=-1) + 1
+    _check_degrees(n_degrees)
+    ranks = [0] * n_degrees
     entries = [[] for _ in ranks]  # entries[n]: (row, column, value) in d_n
     for lo, hi, value in spans:
         if lo < 0 or hi < lo:
@@ -163,7 +195,8 @@ def interval_sum(ring: RingSpec, intervals, disks=()) -> ChainComplex:
         for row, col, value in entries[n]:
             data[row, col] = value
         diffs.append(MatrixR(ring, data))
-    return make_complex(ring, ranks, diffs, check=False)
+    # valid by construction: built from integers, from no other complex
+    return _inherit_verdict(make_complex(ring, ranks, diffs, check=False))
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +311,6 @@ def brute_homology(X: ChainComplex, work_limit: int = BRUTE_WORK_LIMIT) -> list:
     Refuses when the enumeration would exceed work_limit vectors.
     """
     require_valid(X)
-    return _brute_homology(X, work_limit)
-
-
-def _brute_homology(X: ChainComplex, work_limit: int) -> list:
-    """``brute_homology`` of a complex its caller validated, unvalidated."""
     work = _brute_work(X)
     if work > work_limit:
         raise GuardExceeded(

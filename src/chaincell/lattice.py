@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Optional
 
-from .complexes import ChainComplex
+from .complexes import ChainComplex, require_valid
 from .errors import UsageError
-from .reduce import MinimizeResult, _row_ranks, bottom_degree, minimize
+from .reduce import MinimizeResult, _r_parts, _row_ranks, bottom_degree, minimize
 from .ring import check_same_ring
 
 
@@ -60,7 +60,7 @@ def _min_pair(mr: MinimizeResult) -> Optional[tuple]:
     i = mr.bottom
     if i is None:
         return None
-    row = _row_ranks(mr.minimal, mr.r_parts, i)
+    row = _row_ranks(mr.minimal, _r_parts(mr.minimal), i)
     for j, (here, longer) in enumerate(pairwise(row)):
         if longer < here:
             return (i, j)
@@ -92,6 +92,7 @@ def _cellular_verdict(mx: Optional[tuple], ma: Optional[tuple]) -> Verdict:
 def is_acyclic_over(X: ChainComplex, A: ChainComplex) -> Verdict:
     """Decide X > A (X belongs to the acyclic class of A)."""
     check_same_ring(X, A)
+    require_valid(A)  # refused even when X is contractible and A is not read
     bx = bottom_degree(X)
     if bx is None:
         return Verdict(True, "x-contractible")

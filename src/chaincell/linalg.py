@@ -2,8 +2,8 @@
 
 MatrixR stores encoded int64 entries (see _kernels).  Rank computation
 only ever happens over the residue field k: R is not a field, and every
-elimination over R in this package pivots on units.  Arrays are marked
-read-only after construction; treat matrices as immutable values.
+elimination over R in this package pivots on units.  A MatrixR is a
+frozen, unhashable value, and its array is read-only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MatrixR:
     ring: RingSpec
     data: np.ndarray  # encoded entries, shape (rows, cols)
@@ -33,7 +33,7 @@ class MatrixR:
     def __post_init__(self):
         if self.data.ndim != 2:
             raise UsageError(f"matrix data must be 2-d, got shape {self.data.shape}")
-        self.data = _freeze(self.data)
+        object.__setattr__(self, "data", _freeze(self.data))
 
     @property
     def rows(self) -> int:

@@ -23,6 +23,8 @@ from ._kernels import enc_neg
 from .complexes import (
     ChainComplex,
     ModuleDescriptor,
+    _check_degrees,
+    _inherit_verdict,
     empty,
     make_complex,
     require_valid,
@@ -110,6 +112,7 @@ def shift(X: ChainComplex, i: int) -> ChainComplex:
         raise DomainError("shift amount must be >= 0")
     if i == 0 or X.is_empty():
         return X
+    _check_degrees(i + len(X.ranks))
     ranks = [0] * i + list(X.ranks)
     diffs = []
     for n in range(1, len(ranks)):
@@ -118,7 +121,7 @@ def shift(X: ChainComplex, i: int) -> ChainComplex:
         else:
             d = X.d(n - i)
             diffs.append(linalg.neg(d) if i % 2 else d)
-    return ChainComplex(X.ring, tuple(ranks), tuple(diffs))
+    return _inherit_verdict(ChainComplex(X.ring, tuple(ranks), tuple(diffs)), X)
 
 
 def desuspend(X: ChainComplex, i: int) -> ChainComplex:
@@ -134,7 +137,7 @@ def desuspend(X: ChainComplex, i: int) -> ChainComplex:
     for n in range(1, len(ranks)):
         d = X.d(n + i)
         diffs.append(linalg.neg(d) if i % 2 else d)
-    return make_complex(X.ring, ranks, diffs, check=False)
+    return _inherit_verdict(make_complex(X.ring, ranks, diffs, check=False), X)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +155,7 @@ def direct_sum_all(ring: RingSpec, complexes) -> ChainComplex:
     for n in range(1, n_degrees):  # each summand writes only its own differentials
         own = {(k, k): X.diffs[n - 1].data for k, X in enumerate(complexes) if n <= X.top}
         diffs.append(linalg.from_blocks(ring, sizes[n - 1], sizes[n], own))
-    return make_complex(ring, [sum(s) for s in sizes], diffs, check=False)
+    return _inherit_verdict(make_complex(ring, [sum(s) for s in sizes], diffs, check=False), *complexes)
 
 
 def direct_sum(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
@@ -183,7 +186,7 @@ def cone(f: ChainMap) -> ChainComplex:
             nonzero[(1, 1)] = enc_neg(X.diffs[n - 2].data, ring.p, ring.flavor_code)
         rows, cols = [Y.rank(n - 1), X.rank(n - 2)], [Y.rank(n), X.rank(n - 1)]
         diffs.append(linalg.from_blocks(ring, rows, cols, nonzero))
-    return make_complex(ring, ranks, diffs, check=False)
+    return _inherit_verdict(make_complex(ring, ranks, diffs, check=False), X, Y)
 
 
 def cone_inclusion(f: ChainMap) -> ChainMap:
@@ -246,7 +249,7 @@ def tensor(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
                 d_Y = Y.diffs[j - 1].data
                 nonzero[(row_of[(i, j - 1)], c)] = _id_kron(ring, eye(rx[i]), d_Y, i % 2)
         diffs.append(linalg.from_blocks(ring, dims[n - 1], dims[n], nonzero))
-    return make_complex(ring, [sum(ds) for ds in dims], diffs, check=False)
+    return _inherit_verdict(make_complex(ring, [sum(ds) for ds in dims], diffs, check=False), X, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +309,12 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
     from . import oracle as _oracle
 
     # both guards come before either count, so a refused pair enumerates
-    # and builds nothing; the counts take the pair as validated above
+    # and builds nothing
     guard = guard if guard is not None else _oracle.SizeGuard()
     guard.check("chain map enumeration", _oracle._map_candidates(X, Y))
     guard.check("hom degree-1 enumeration", _oracle._hom1_candidates(X, Y))
-    degree0 = _oracle._chain_map_module(X, Y, guard)
-    d1_image_size = _oracle._hom_boundary_image_size(X, Y, guard)
+    degree0 = _oracle.chain_map_module(X, Y, guard)
+    d1_image_size = _oracle.hom_boundary_image_size(X, Y, guard)
 
     ring = X.ring
     top = Y.top  # Hom_n vanishes once i + n > Y.top for all i
@@ -319,12 +322,12 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
     pos_diffs = [linalg.zeros(ring, pos_ranks[0], pos_ranks[1])] if len(pos_ranks) > 1 else []
     for n in range(2, len(pos_ranks)):
         pos_diffs.append(_hom_diff(X, Y, n))
-    positive = make_complex(ring, pos_ranks, pos_diffs, check=False)
+    positive = _inherit_verdict(make_complex(ring, pos_ranks, pos_diffs, check=False), X, Y)
 
     full = None
     if X.top <= 0:
         a = X.rank(0)
         full_ranks = [a * Y.rank(n) for n in range(len(Y.ranks))]
         full_diffs = [MatrixR(ring, _kron_id(ring, d.data, _eye(a))) for d in Y.diffs]
-        full = make_complex(ring, full_ranks, full_diffs, check=False)
+        full = _inherit_verdict(make_complex(ring, full_ranks, full_diffs, check=False), X, Y)
     return HomComplex(X, Y, degree0, positive, d1_image_size, full)

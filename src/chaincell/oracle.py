@@ -36,9 +36,9 @@ from .complexes import (
     ModuleDescriptor,
     _all_vectors,
     _boundaries,
-    _brute_homology,
     _codes,
     _keys,
+    brute_homology,
     make_complex,
     module_from_sizes,
     require_valid,
@@ -97,12 +97,14 @@ class _MapSearch:
 
     Candidates per degree are pruned by grouping on the two sides of the
     commutation equation target.d(n) @ f_n == f_(n-1) @ source.d(n).
-    Every caller validates both complexes first.
+    Both complexes are validated first.
     """
 
     def __init__(self, source: ChainComplex, target: ChainComplex, guard: SizeGuard):
         if source.ring != target.ring:
             raise UsageError("ring mismatch in chain map enumeration")
+        require_valid(source)
+        require_valid(target)
         self.source, self.target = source, target
         self.ring = source.ring
         self.levels = max(len(source.ranks), len(target.ranks))
@@ -177,8 +179,6 @@ class _MapSearch:
 
 def enumerate_chain_maps(X: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard()):
     """All chain maps X -> Y, in a fixed lexicographic order."""
-    require_valid(X)
-    require_valid(Y)
     search = _MapSearch(X, Y, guard)
     if search.levels == 0:
         return [ChainMap(X, Y, ())]
@@ -187,13 +187,6 @@ def enumerate_chain_maps(X: ChainComplex, Y: ChainComplex, guard: SizeGuard = Si
 
 def chain_map_module(X: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard()) -> ModuleDescriptor:
     """Isomorphism class of the module of chain maps X -> Y."""
-    require_valid(X)
-    require_valid(Y)
-    return _chain_map_module(X, Y, guard)
-
-
-def _chain_map_module(X: ChainComplex, Y: ChainComplex, guard: SizeGuard) -> ModuleDescriptor:
-    """``chain_map_module`` of a validated pair."""
     search = _MapSearch(X, Y, guard)
     total = search.counts()
     ann = search.counts(only_m=True)
@@ -210,11 +203,6 @@ def hom_boundary_image_size(X: ChainComplex, Y: ChainComplex, guard: SizeGuard =
     """
     require_valid(X)
     require_valid(Y)
-    return _hom_boundary_image_size(X, Y, guard)
-
-
-def _hom_boundary_image_size(X: ChainComplex, Y: ChainComplex, guard: SizeGuard) -> int:
-    """``hom_boundary_image_size`` of a validated pair."""
     ring = X.ring
     blocks = range(X.top + 1)
     guard.check("hom degree-1 enumeration", _hom1_candidates(X, Y))
@@ -266,11 +254,6 @@ def exists_h0_epi(A: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard
         raise DomainError(
             "H_0 of the generator vanishes; desuspend the pair before testing"
         )
-    return _exists_h0_epi(A, Y, guard)
-
-
-def _exists_h0_epi(A: ChainComplex, Y: ChainComplex, guard: SizeGuard) -> bool:
-    """``exists_h0_epi`` of a validated pair with H_0(A) != 0."""
     ring = Y.ring
     p, fl = ring.p, ring.flavor_code
     guard.check("H0 coset table", ring.size ** Y.rank(0))
@@ -330,8 +313,8 @@ class CrossCheck:
 
 
 def _brute_bottom(X: ChainComplex, guard: SizeGuard) -> Optional[int]:
-    """Lowest degree with nonzero homology of a validated X, computed elementwise."""
-    for n, descr in enumerate(_brute_homology(X, guard.max_search_space)):
+    """Lowest degree with nonzero homology of X, computed elementwise."""
+    for n, descr in enumerate(brute_homology(X, guard.max_search_space)):
         if not descr.is_zero():
             return n
     return None
@@ -344,8 +327,8 @@ def cross_check(X: ChainComplex, A: ChainComplex, guard: SizeGuard = SizeGuard()
     Otherwise both sides are desuspended by the bottom degree of A
     (which preserves the relation), and when X's homology starts below
     A's the relation already fails for support reasons.  Each input is
-    validated and minimized once; the minimal model of A must start
-    where its elementwise homology does.
+    minimized once for the lattice verdict and the desuspended pair; the
+    minimal model of A must start where its elementwise homology does.
     """
     check_same_ring(X, A)
     mx, ma = minimize(X), minimize(A)
@@ -359,7 +342,7 @@ def cross_check(X: ChainComplex, A: ChainComplex, guard: SizeGuard = SizeGuard()
         oracle_verdict = _brute_bottom(X, guard) is None
         route = "acyclic-generator"
     elif bottom_a == 0:
-        oracle_verdict = _exists_h0_epi(A, X, guard)
+        oracle_verdict = exists_h0_epi(A, X, guard)
         route = "h0-epi"
     else:
         bottom_x = _brute_bottom(X, guard)
@@ -369,7 +352,7 @@ def cross_check(X: ChainComplex, A: ChainComplex, guard: SizeGuard = SizeGuard()
         else:
             a_down = desuspend(ma.minimal, bottom_a)
             x_down = desuspend(mx.minimal, bottom_a)
-            oracle_verdict = _exists_h0_epi(a_down, x_down, guard)
+            oracle_verdict = exists_h0_epi(a_down, x_down, guard)
             route = f"h0-epi-desuspended-{bottom_a}"
     return CrossCheck(lattice_verdict, oracle_verdict, lattice_verdict == oracle_verdict, route)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .complexes import ChainComplex, disk, interval, make_complex
+from .complexes import ChainComplex, _check_degrees, _inherit_verdict, disk, interval, make_complex
 from .errors import DomainError, InvalidComplexError, UsageError
 from .linalg import MatrixR
 from .ops import direct_sum_all
@@ -39,6 +39,7 @@ def random_complex(
     allow_units: bool = False,
     attempts: int = 200,
 ) -> ChainComplex:
+    _check_degrees(max_degree + 1)
     if not allow_units:
         return random_minimal_complex(ring, rng, max_degree, max_rank)
     for _ in range(attempts):
@@ -81,7 +82,7 @@ def conjugated(X: ChainComplex, rng) -> ChainComplex:
         linalg.apply_basis_change(X.d(n), pairs[n - 1][1], pairs[n][0])
         for n in range(1, len(X.ranks))
     ]
-    return make_complex(X.ring, X.ranks, diffs, check=False)
+    return _inherit_verdict(make_complex(X.ring, X.ranks, diffs, check=False), X)
 
 
 def random_complex_with_disks(

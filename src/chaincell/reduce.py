@@ -52,7 +52,14 @@ import numpy as np
 
 from . import linalg
 from ._kernels import echelon_mod, enc_add, enc_sub, lift_inverse, mat_mul, matmul_exact, rank_mod
-from .complexes import ChainComplex, ModuleDescriptor, interval_sum, make_complex, require_valid
+from .complexes import (
+    ChainComplex,
+    ModuleDescriptor,
+    _inherit_verdict,
+    interval_sum,
+    make_complex,
+    require_valid,
+)
 from .errors import ChaincellError, UsageError
 from .linalg import MatrixR
 from .ops import direct_sum_all
@@ -98,24 +105,18 @@ class MinimizeResult:
             for m in range(len(self.input_ranks))
         ]
 
-    @cached_property
-    def r_parts(self) -> list:
-        """``_r_parts`` of the minimal part, for its table and its rows."""
-        return _r_parts(self.minimal)
-
     @property
     def bottom(self) -> Optional[int]:
         """Lowest degree of the minimal part; None when X is contractible."""
         return next((n for n, r in enumerate(self.minimal.ranks) if r), None)
 
     def rho_table(self) -> dict:
-        """``rho_table`` of the minimal part, which ``minimize`` built valid,
-        so it is read without validating it again."""
-        return _rho_sweep(self.minimal, self.r_parts)
+        """``rho_table`` of the minimal part, which carries a valid verdict."""
+        return rho_table(self.minimal)
 
     def barcode(self) -> Counter:
-        """``barcode`` of the minimal part, read as ``rho_table`` above."""
-        return _barcode_from_table(self.rho_table(), len(self.minimal.ranks))
+        """``barcode`` of the minimal part."""
+        return barcode(self.minimal)
 
 
 @dataclass
@@ -189,7 +190,8 @@ def minimize(X: ChainComplex) -> MinimizeResult:
     # a disk split at n takes one basis vector from degrees n and n-1
     m_ranks = [r - disks.count(m) - disks.count(m + 1) for m, r in enumerate(X.ranks)]
     m_diffs = [MatrixR(X.ring, W[n]) for n in range(1, n_degrees)]
-    minimal = make_complex(X.ring, m_ranks, m_diffs, check=False)
+    # valid: X was, and the Schur and disk checks above passed
+    minimal = _inherit_verdict(make_complex(X.ring, m_ranks, m_diffs, check=False), X)
     return MinimizeResult(minimal, tuple(disks), X.ranks, steps)
 
 
@@ -267,17 +269,7 @@ def rho_table(M: ChainComplex) -> dict:
     one degree lower.  Each elimination is ranks[n-1] x ranks[n].
     """
     require_valid(M)
-    return _rho_sweep(M, _r_parts(M))
-
-
-def _rho_sweep(M: ChainComplex, parts: list) -> dict:
-    """``rho_table`` of a complex the package built valid, from its
-    ``_r_parts``, unvalidated.
-
-    Degree n eliminates [B_n basis | B_n[:, free]], dim V_n columns, not
-    [B_n basis | B_n]: G = [basis | e_free] is invertible, so both span
-    Im B_n with the same prefixes for tags > n (see ``rho_table``).
-    """
+    parts = _r_parts(M)
     p = M.ring.p
     table = {(a, a): r for a, r in enumerate(M.ranks)}
     basis = np.zeros((M.rank(M.top), 0), dtype=np.int64)
@@ -344,7 +336,7 @@ def decompose(X: ChainComplex) -> Decomposition:
             )
     i = mr.bottom
     if i is not None:
-        if list(_row_ranks(M, mr.r_parts, i)) != [table[(i, b)] for b in range(i, M.top + 1)]:
+        if list(_row_ranks(M, _r_parts(M), i)) != [table[(i, b)] for b in range(i, M.top + 1)]:
             raise ChaincellError(f"rho table row {i} differs from its product chain")
     return dec
 

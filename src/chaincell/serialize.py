@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .complexes import ChainComplex, make_complex
+from .complexes import ChainComplex, _check_degrees, make_complex
 from .errors import InvalidComplexError, UsageError
 from .linalg import MatrixR
 from .ops import ChainMap, HomComplex, is_chain_map
@@ -88,6 +88,7 @@ def complex_from_dict(data, force: bool = False, ring_override: RingSpec = None)
     ranks = data["ranks"]
     if not isinstance(ranks, list) or any(not _is_int(r) or r < 0 for r in ranks):
         raise InvalidComplexError("ranks must be non-negative integers")
+    _check_degrees(len(ranks))
     mats_raw = data["differentials"]
     if not isinstance(mats_raw, list):
         raise InvalidComplexError("differentials must be a list of matrices")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chaincell._kernels import enc_mul
+from chaincell.complexes import make_complex
 from chaincell.linalg import MatrixR
 from chaincell.ring import RingSpec, check_same_ring
 
@@ -39,6 +40,11 @@ def bounded_random_complex(ring, rng, max_len=5, max_rank=4):
         )
         if len(X.ranks) <= max_len and all(r <= max_rank for r in X.ranks):
             return X
+
+
+def unvalidated(X):
+    """A copy of X whose validate verdict is not known yet."""
+    return make_complex(X.ring, X.ranks, X.diffs, check=False)
 
 
 def from_elements(ring, rows):

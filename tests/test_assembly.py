@@ -350,9 +350,9 @@ def test_decompose_self_check_fires_on_a_wrong_interval_sum(ring, rng, monkeypat
     with monkeypatch.context() as patch:
         # (b) the sweep's last elimination, which writes the bottom row,
         # loses one pivot
-        sweep, echelon = reduce._rho_sweep, reduce.echelon_mod
+        sweep, echelon = reduce.rho_table, reduce.echelon_mod
 
-        def sweep_losing_a_pivot(M, parts):
+        def sweep_losing_a_pivot(M):
             calls = []
 
             def short_echelon(A, p):
@@ -364,8 +364,8 @@ def test_decompose_self_check_fires_on_a_wrong_interval_sum(ring, rng, monkeypat
 
             with monkeypatch.context() as inner:
                 inner.setattr(reduce, "echelon_mod", short_echelon)
-                return sweep(M, parts)
+                return sweep(M)
 
-        patch.setattr(reduce, "_rho_sweep", sweep_losing_a_pivot)
+        patch.setattr(reduce, "rho_table", sweep_losing_a_pivot)
         with pytest.raises(ChaincellError, match="product chain"):
             reduce.decompose(X)

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chaincell import GuardExceeded, _kernels
+import chaincell.cli  # noqa: F401  (the tracer wraps cli.run)
+from chaincell import GuardExceeded, SizeGuard, _kernels, cross_check, direct_sum_all, hom_complex, interval
 from chaincell.lattice import is_acyclic_over, min_pair
 from chaincell.ops import tensor
 from chaincell.ring import parse_ring
@@ -37,6 +38,27 @@ def test_traced_functions_resolve():
     assert tracer.TRACED
     for module_name, func in tracer.TRACED:
         assert callable(getattr(importlib.import_module(module_name), func)), (module_name, func)
+
+
+def test_tracer_sees_the_oracle_layers():
+    # cross_check's H0-epi route and a guarded hom go through the public
+    # oracle functions, so the tracer's rows for them read their calls
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    ring = parse_ring("zpsq:2")
+    X = direct_sum_all(ring, [interval(ring, 0, 0), interval(ring, 0, 1)])
+    A = interval(ring, 0, 1)
+    tracer = tracer_mod.Tracer(GuardExceeded).install()
+    try:
+        assert cross_check(X, A).route == "h0-epi"
+        hom_complex(A, interval(ring, 0, 2), SizeGuard(1 << 10))
+        snap = tracer.snapshot()
+    finally:
+        tracer.remove()
+    for name in ("oracle.exists_h0_epi", "complexes.brute_homology",
+                 "oracle.chain_map_module", "oracle.hom_boundary_image_size"):
+        assert snap[f"{name}.calls"] > 0, name
 
 
 def test_kernel_rows_names_exist():

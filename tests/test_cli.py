@@ -415,3 +415,59 @@ def test_cli_explain_mode(files, capsys):
     assert cli.run(["cell", files["E02"], files["E01"], "--output", "explain"]) == 0
     text = capsys.readouterr().out
     assert "holds" in text and "lex" in text
+
+
+# ---------------------------------------------------------------------------
+# the degree cap
+
+
+def test_cli_refuses_complexes_above_the_degree_cap(tmp_path, monkeypatch, capsys):
+    from chaincell import complexes, randgen
+
+    cap = complexes.MAX_DEGREES
+    s0 = _write(tmp_path, "S0.json", serialize.complex_to_dict(sphere(Z4, 0)))
+    long = _write(tmp_path, "long.json", {"ring": "zpsq:2", "ranks": [1] + [0] * cap, "differentials": []})
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a complex above the degree cap was built")
+
+    for module, name in ((complexes, "MatrixR"), (randgen, "MatrixR"), (linalg, "zeros"),
+                         (serialize, "_parse_matrix")):
+        monkeypatch.setattr(module, name, no_build)
+    for argv in (
+        ["gen", "sphere", str(cap)],
+        ["gen", "interval", "0", str(cap)],
+        ["shift", s0, str(cap)],
+        ["homology", long],
+        ["rand", "--max-degree", str(cap)],
+    ):
+        assert cli.run(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "degrees exceed the cap" in captured.err, argv
+
+
+def test_degree_cap_boundary(monkeypatch, rng):
+    from chaincell import complexes, randgen
+    from chaincell.errors import GuardExceeded
+    from chaincell.ops import shift
+
+    monkeypatch.setattr(complexes, "MAX_DEGREES", 4)
+    d = [[[0, 1]]]
+
+    def file_of(n):
+        return {"ring": "zpsq:2", "ranks": [1] * n, "differentials": [d] * (n - 1)}
+
+    builds = {  # name: (at the cap, one degree over)
+        "sphere": (lambda: sphere(Z4, 3), lambda: sphere(Z4, 4)),
+        "interval": (lambda: interval(Z4, 1, 2), lambda: interval(Z4, 1, 3)),
+        "shift": (lambda: shift(sphere(Z4, 0), 3), lambda: shift(sphere(Z4, 0), 4)),
+        "file": (lambda: serialize.complex_from_dict(file_of(4)),
+                 lambda: serialize.complex_from_dict(file_of(5))),
+    }
+    for name, (at_cap, over) in builds.items():
+        assert len(at_cap().ranks) == 4, name
+        with pytest.raises(GuardExceeded, match="5 degrees exceed the cap of 4"):
+            over()
+    assert len(randgen.random_complex(Z4, rng, max_degree=3).ranks) <= 4
+    with pytest.raises(GuardExceeded, match="5 degrees exceed the cap of 4"):
+        randgen.random_complex(Z4, rng, max_degree=4)

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -8,18 +9,34 @@ from chaincell import (
     ChainComplex,
     ModuleDescriptor,
     brute_homology,
+    complexes,
     disk,
     empty,
     homology,
     interval,
+    lattice,
     linalg,
     make_complex,
+    ops,
+    oracle,
+    reduce,
+    serialize,
     sphere,
     validate,
 )
 from chaincell.complexes import module_from_sizes
 from chaincell.errors import DomainError, GuardExceeded, InvalidComplexError, UsageError
-from chaincell.ops import direct_sum
+from chaincell.ops import (
+    cone,
+    desuspend,
+    direct_sum,
+    direct_sum_all,
+    hom_complex,
+    identity_map,
+    shift,
+    tensor,
+)
+from chaincell.randgen import conjugated
 from chaincell.ring import RingSpec
 
 from conftest import bounded_random_complex, entry, from_elements
@@ -229,3 +246,95 @@ def test_brute_homology_matches_naive(ring, rng):
             cases.append(X)
     for X in cases:
         assert brute_homology(X) == naive_brute_homology(X), X
+
+
+# ---------------------------------------------------------------------------
+# frozen values, kept verdicts, and the refusal of invalid complexes
+
+
+def test_complexes_and_matrices_are_frozen_and_unhashable():
+    X = interval(Z4, 0, 1)
+    for value, field in ((X, "ranks"), (X, "diffs"), (X, "ring"), (X.d(1), "data")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field, getattr(value, field))
+    for value in (X, empty(Z4), X.d(1), linalg.zeros(Z4, 0, 0)):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_complexes_built_from_valid_ones_are_not_validated_again(monkeypatch, rng):
+    # interval_sum builds from integers; the rest from complexes already
+    # carrying a valid verdict, so reading any of them validates nothing
+    calls = []
+    real = complexes.validate
+    monkeypatch.setattr(complexes, "validate", lambda Y: calls.append(Y) or real(Y))
+    X, Y = interval(Z4, 0, 1), disk(Z4, 2)
+    h = hom_complex(sphere(Z4, 0), X)  # a source in degree 0: the full complex too
+    derived = [
+        X, Y, direct_sum_all(Z4, [X, Y]), shift(X, 2), desuspend(shift(X, 1), 1), tensor(X, Y),
+        cone(identity_map(X)), conjugated(Y, rng), reduce.minimize(Y).minimal, h.positive, h.full,
+    ]
+    for Z in derived:
+        reduce.homology(Z)
+    assert calls == []
+    # one input of unknown verdict leaves what is built from it unknown
+    Z = direct_sum_all(Z4, [X, make_complex(Z4, [1], [], check=False)])
+    reduce.homology(Z)
+    assert len(calls) == 1 and calls[0] is Z
+
+
+def _forced_bad():
+    """A force-loaded complex with d1*d2 != 0 and every shape right."""
+    data = {"ring": "zpsq:2", "ranks": [1, 1, 1], "differentials": [[[[1, 0]]], [[[1, 0]]]]}
+    return serialize.complex_from_dict(data, force=True)
+
+
+def _public_entries():
+    guard = oracle.SizeGuard(1 << 12)
+    single = {
+        "minimize": reduce.minimize,
+        "decompose": reduce.decompose,
+        "homology": reduce.homology,
+        "bottom_degree": reduce.bottom_degree,
+        "rho_table": reduce.rho_table,
+        "barcode": reduce.barcode,
+        "composite_rank": lambda Z: reduce.composite_rank(Z, 0, 0),
+        "min_pair": lattice.min_pair,
+        "brute_homology": brute_homology,
+    }
+    pair = {
+        "is_cellular": lattice.is_cellular,
+        "is_acyclic_over": lattice.is_acyclic_over,
+        "chain_map_module": lambda X, Y: oracle.chain_map_module(X, Y, guard),
+        "hom_boundary_image_size": lambda X, Y: oracle.hom_boundary_image_size(X, Y, guard),
+        "enumerate_chain_maps": lambda X, Y: oracle.enumerate_chain_maps(X, Y, guard),
+        "exists_h0_epi": lambda X, Y: oracle.exists_h0_epi(X, Y, guard),
+        "cross_check": lambda X, Y: oracle.cross_check(X, Y, guard),
+        "hom_complex": lambda X, Y: ops.hom_complex(X, Y, guard),
+        "extension": lambda X, Y: oracle.extension(X, Y, {}),
+    }
+    # the valid partner is contractible, so a verdict that reads only
+    # its side would return early
+    partner = disk(Z4, 1)
+    out = dict(single)
+    for name, fn in pair.items():
+        out[f"{name}(bad, valid)"] = lambda Z, fn=fn: fn(Z, partner)
+        out[f"{name}(valid, bad)"] = lambda Z, fn=fn: fn(partner, Z)
+    return out
+
+
+ENTRIES = _public_entries()
+
+
+@pytest.mark.parametrize("build", ["direct", "direct_sum_all", "shift", "tensor"])
+@pytest.mark.parametrize("name", list(ENTRIES))
+def test_every_public_entry_refuses_an_invalid_complex(name, build):
+    bad, valid = _forced_bad(), interval(Z4, 0, 1)
+    Z = {
+        "direct": lambda: bad,
+        "direct_sum_all": lambda: direct_sum_all(Z4, [valid, bad]),
+        "shift": lambda: shift(bad, 1),
+        "tensor": lambda: tensor(valid, bad),
+    }[build]()
+    with pytest.raises(UsageError, match="invalid complex"):
+        ENTRIES[name](Z)

@@ -24,7 +24,7 @@ from chaincell.oracle import SizeGuard, enumerate_chain_maps
 from chaincell.reduce import decompose
 from chaincell.ring import RingSpec
 
-from conftest import bounded_random_complex, from_elements
+from conftest import bounded_random_complex, from_elements, unvalidated
 
 Z4 = RingSpec("zpsq", 2)
 Z9 = RingSpec("zpsq", 3)
@@ -245,7 +245,7 @@ def test_refused_hom_builds_nothing(ring, monkeypatch):
 
 def test_hom_validates_each_input_once(monkeypatch):
     ring = RingSpec("zpsq", 2)
-    X, Y = interval(ring, 0, 1), interval(ring, 0, 2)
+    X, Y = unvalidated(interval(ring, 0, 1)), unvalidated(interval(ring, 0, 2))
     calls = []
     real = complexes.validate
     monkeypatch.setattr(complexes, "validate", lambda Z: calls.append(Z) or real(Z))

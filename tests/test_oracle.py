@@ -18,7 +18,8 @@ from chaincell import (
 from chaincell._kernels import enc_add, mat_mul
 from chaincell.complexes import module_from_sizes
 from chaincell.errors import DomainError, GuardExceeded, UsageError
-from chaincell.ops import direct_sum, direct_sum_all, is_chain_map, shift
+from chaincell.lattice import is_acyclic_over, is_cellular
+from chaincell.ops import direct_sum, direct_sum_all, hom_complex, is_chain_map, shift
 from chaincell.oracle import (
     SizeGuard,
     chain_map_module,
@@ -29,9 +30,10 @@ from chaincell.oracle import (
     hom_boundary_image_size,
     random_extension,
 )
+from chaincell.randgen import conjugated
 from chaincell.ring import RingSpec
 
-from conftest import bounded_random_complex, entry
+from conftest import bounded_random_complex, entry, unvalidated
 
 Z4 = RingSpec("zpsq", 2)
 
@@ -161,11 +163,41 @@ def test_cross_check_desuspension_routes(p2_ring):
 def test_oracle_entries_validate_each_input_once(p2_ring, monkeypatch, entry, xs, as_):
     X = direct_sum_all(p2_ring, [interval(p2_ring, i, j) for i, j in xs])
     A = direct_sum_all(p2_ring, [interval(p2_ring, i, j) for i, j in as_] or [disk(p2_ring, 1)])
+    X, A = unvalidated(X), unvalidated(A)
     calls = []
     real = complexes.validate
     monkeypatch.setattr(complexes, "validate", lambda Y: calls.append(Y) or real(Y))
     entry(X, A)
     assert sum(c is X for c in calls) == 1 and sum(c is A for c in calls) == 1, entry.__name__
+
+
+@pytest.mark.parametrize(
+    "xs, as_",
+    [
+        (((0, 0), (0, 1)), ((0, 1),)),  # h0-epi
+        (((1, 2),), ((1, 1),)),  # desuspended
+        (((1, 0),), ((2, 0),)),  # support
+        (((0, 1),), ()),  # acyclic generator
+    ],
+    ids=["h0-epi", "desuspended", "support", "acyclic"],
+)
+def test_oracle_item_sequence_validates_each_input_once(p2_ring, rng, monkeypatch, xs, as_):
+    # the reads of one benchmark oracle item on (X, A), with verdicts not
+    # known yet: each input keeps its verdict, and what the package derives
+    # from them carries one
+    X = direct_sum_all(p2_ring, [interval(p2_ring, i, j) for i, j in xs])
+    A = direct_sum_all(p2_ring, [interval(p2_ring, i, j) for i, j in as_] or [disk(p2_ring, 1)])
+    X, A = (unvalidated(conjugated(Z, rng)) for Z in (X, A))
+    calls = []
+    real = complexes.validate
+    monkeypatch.setattr(complexes, "validate", lambda Y: calls.append(Y) or real(Y))
+    assert cross_check(X, A).agree
+    is_cellular(X, A)
+    is_acyclic_over(X, A)
+    assert complexes.brute_homology(X) == homology(X)
+    chain_map_module(X, A)
+    hom_complex(X, A, SizeGuard(1 << 12))
+    assert len(calls) == 2 and calls[0] is X and calls[1] is A
 
 
 def test_extension_of_spheres_gives_interval(ring):
