@@ -18,6 +18,7 @@ shortcut can be checked against the definition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Optional
 
 import numpy as np
@@ -31,6 +32,9 @@ BRUTE_WORK_LIMIT = 1 << 20
 # A complex spans at most this many degrees.  Building one costs about
 # 13 us and 0.4 KB a degree, so the cap is checked before anything is built.
 MAX_DEGREES = 1 << 16
+# ``tensor`` and ``hom`` build at most this many dense differential cells
+# (512 MB as int64), counted from the ranks before anything is built.
+MAX_CELLS = 1 << 26
 
 _UNKNOWN = object()  # the verdict of a complex not validated yet
 
@@ -133,6 +137,16 @@ def _check_degrees(n: int):
     """Refuse a complex of n degrees above ``MAX_DEGREES`` before it is built."""
     if n > MAX_DEGREES:
         raise GuardExceeded(f"{n} degrees exceed the cap of {MAX_DEGREES}", required=n)
+
+
+def _check_cells(*rank_lists):
+    """Refuse complexes of these ranks whose differentials would hold more
+    than ``MAX_CELLS`` cells in all, before they are built."""
+    cells = sum(a * b for ranks in rank_lists for a, b in pairwise(ranks))
+    if cells > MAX_CELLS:
+        raise GuardExceeded(
+            f"{cells} differential cells exceed the cap of {MAX_CELLS}", required=cells
+        )
 
 
 # ---------------------------------------------------------------------------

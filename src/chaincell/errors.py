@@ -22,8 +22,8 @@ class InvalidComplexError(ChaincellError, ValueError):
 
 
 class GuardExceeded(ChaincellError, RuntimeError):
-    """A brute-force enumeration, or a complex above the degree cap, was
-    refused before any work; .required holds what it needed."""
+    """A brute-force enumeration, or a complex above the degree or cell cap,
+    was refused before any work; .required holds what it needed."""
 
     def __init__(self, message, required=None):
         super().__init__(message)

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .complexes import ChainComplex, require_valid
 from .errors import UsageError
-from .reduce import MinimizeResult, _r_parts, _row_ranks, bottom_degree, minimize
+from .reduce import MinimizeResult, _row_ranks, bottom_degree, minimize
 from .ring import check_same_ring
 
 
@@ -60,7 +60,7 @@ def _min_pair(mr: MinimizeResult) -> Optional[tuple]:
     i = mr.bottom
     if i is None:
         return None
-    row = _row_ranks(mr.minimal, _r_parts(mr.minimal), i)
+    row = _row_ranks(mr.minimal, i)
     for j, (here, longer) in enumerate(pairwise(row)):
         if longer < here:
             return (i, j)

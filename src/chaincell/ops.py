@@ -23,6 +23,7 @@ from ._kernels import enc_neg
 from .complexes import (
     ChainComplex,
     ModuleDescriptor,
+    _check_cells,
     _check_degrees,
     _inherit_verdict,
     empty,
@@ -237,6 +238,8 @@ def tensor(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
         for n in range(n_degrees)
     ]
     dims = [[rx[i] * ry[j] for i, j in bs] for bs in blocks]
+    ranks = [sum(ds) for ds in dims]
+    _check_cells(ranks)
     eye = functools.cache(_eye)  # one identity per size, made when first needed
     diffs = []
     for n in range(1, n_degrees):
@@ -249,7 +252,7 @@ def tensor(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
                 d_Y = Y.diffs[j - 1].data
                 nonzero[(row_of[(i, j - 1)], c)] = _id_kron(ring, eye(rx[i]), d_Y, i % 2)
         diffs.append(linalg.from_blocks(ring, dims[n - 1], dims[n], nonzero))
-    return _inherit_verdict(make_complex(ring, [sum(ds) for ds in dims], diffs, check=False), X, Y)
+    return _inherit_verdict(make_complex(ring, ranks, diffs, check=False), X, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +309,10 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
         raise UsageError("ring mismatch in hom")
     require_valid(X)
     require_valid(Y)
+    top = Y.top  # Hom_n vanishes once i + n > Y.top for all i
+    pos_ranks = [0] + [_hom_rank(X, Y, n) for n in range(1, max(top + 1, 1))]
+    full_ranks = [X.rank(0) * r for r in Y.ranks] if X.top <= 0 else []
+    _check_cells(pos_ranks, full_ranks)
     from . import oracle as _oracle
 
     # both guards come before either count, so a refused pair enumerates
@@ -317,8 +324,6 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
     d1_image_size = _oracle.hom_boundary_image_size(X, Y, guard)
 
     ring = X.ring
-    top = Y.top  # Hom_n vanishes once i + n > Y.top for all i
-    pos_ranks = [0] + [_hom_rank(X, Y, n) for n in range(1, max(top + 1, 1))]
     pos_diffs = [linalg.zeros(ring, pos_ranks[0], pos_ranks[1])] if len(pos_ranks) > 1 else []
     for n in range(2, len(pos_ranks)):
         pos_diffs.append(_hom_diff(X, Y, n))
@@ -327,7 +332,6 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
     full = None
     if X.top <= 0:
         a = X.rank(0)
-        full_ranks = [a * Y.rank(n) for n in range(len(Y.ranks))]
         full_diffs = [MatrixR(ring, _kron_id(ring, d.data, _eye(a))) for d in Y.diffs]
         full = _inherit_verdict(make_complex(ring, full_ranks, full_diffs, check=False), X, Y)
     return HomComplex(X, Y, degree0, positive, d1_image_size, full)

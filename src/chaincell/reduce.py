@@ -11,33 +11,24 @@ F_p elimination per degree finds P and its inverse: it runs as on
 [D | I] with pivots sought among D's columns only, so it carries P's
 residue inverse, which one correction step lifts to P^-1 over R.  What
 remains is minimal (all differential entries in the maximal ideal) and
-decomposes into interval summands; ``barcode`` counts them through the
-composite-rank table rho(a, b) = rank over k of B_{a+1} ... B_b, where
-d = r*B on a minimal complex.  A summand spanning degrees [i, i+j]
-contributes one to rho(a, b) exactly when i <= a <= b <= i+j, so
-inclusion-exclusion on rho recovers the multiplicities, an exact count
-equivalent to peeling off one lowest interval summand at a time.
-``homology`` reads only this barcode.
+decomposes into interval summands.  ``barcode`` reads them off one sweep
+down the degrees, with d = r*B on a minimal complex: one F_p elimination
+per degree, at its own width, carries a basis of the image in V_n
+filtered by birth degree (each vector tagged with the degree it came
+from), the filtered-basis reduction of Zomorodian and Carlsson
+("Computing persistent homology", 2005).  A column that is not a pivot
+stands for a generator that dies there, by their elder rule, so the
+births and deaths are the bars; each death is checked against its
+elimination's combination in place.  ``rho_table`` counts the bars that
+cover [a, b], which is the composite rank rho(a, b) = rank over k of
+B_{a+1} ... B_b.  ``homology`` reads only the barcode.
 
-``rho_table`` reads the whole table from one sweep down the degrees,
-one F_p elimination per degree: it carries a basis of the image in V_n
-filtered by birth degree (each vector tagged with the degree b it came
-from, the vectors tagged >= b spanning the image of V_b), the
-filtered-basis reduction of Zomorodian and Carlsson ("Computing
-persistent homology", 2005).  Each degree is eliminated at its own
-width dim V_n: with ``free`` the rows of V_n that did not become pivot
-rows of the elimination that built ``basis``, G = [basis | e_free] is
-invertible, since in the row order (pivot rows, free) it is block lower
-triangular with the invertible pivot block and an identity on its
-diagonal.  So B_n G = [B_n basis | B_n[:, free]] spans Im B_n as
-[B_n basis | B_n] does, with the same filtered prefixes, and the k =
-rank B_{n+1} columns of B_n that ``basis`` already spans are never
-eliminated.  ``_row_ranks`` reads one row as ranks of
-the running products B_{a+1} ... B_b instead: ``composite_rank`` and
-``lattice.min_pair`` read it, and ``decompose`` checks the swept
-table's bottom row against it.  That check catches any wrong entry of
-the bottom row, the row the lattice verdicts read, but not a wrong
-interior entry.
+``_row_ranks`` reads one row of rho as ranks of the running products
+B_{a+1} ... B_b instead: ``composite_rank`` and ``lattice.min_pair``
+read it, and ``decompose`` checks the barcode's bottom row against it.
+Together with the death check, that catches a dropped pivot or a wrong
+coefficient in any degree; a spurious pivot (a dependent column taken
+as independent) is caught only where it changes the bottom row.
 """
 
 from __future__ import annotations
@@ -109,10 +100,6 @@ class MinimizeResult:
     def bottom(self) -> Optional[int]:
         """Lowest degree of the minimal part; None when X is contractible."""
         return next((n for n, r in enumerate(self.minimal.ranks) if r), None)
-
-    def rho_table(self) -> dict:
-        """``rho_table`` of the minimal part, which carries a valid verdict."""
-        return rho_table(self.minimal)
 
     def barcode(self) -> Counter:
         """``barcode`` of the minimal part."""
@@ -216,27 +203,23 @@ def verify_certificates(X: ChainComplex, result: MinimizeResult) -> bool:
 # composite ranks and the barcode
 
 
-def _r_parts(M: ChainComplex):
-    """The arrays B_n = d_n // p, entries in [0, p), with d_n = r * B_n, for
-    n = 1..top; refuses a complex that is not minimal."""
-    parts = [None]
-    for n in range(1, len(M.ranks)):
-        B, units = np.divmod(M.d(n).data, M.ring.p)
-        if units.any():
+def _require_minimal(M: ChainComplex):
+    """Refuse a complex with a unit entry in some differential."""
+    for n, d in enumerate(M.diffs, 1):
+        if (d.data % M.ring.p).any():
             raise UsageError(f"complex is not minimal: unit entry in d{n}")
-        parts.append(B)
-    return parts
 
 
-def _row_ranks(M: ChainComplex, parts: list, a: int):
-    """rho(a, b) for b = a, ..., top, lazily: rank_k of the running product
-    B_{a+1} @ ... @ B_b.  After the first zero no product is formed, since
-    every longer one is zero too."""
+def _row_ranks(M: ChainComplex, a: int):
+    """rho(a, b) for b = a, ..., top, lazily, on a minimal complex: rank_k of
+    the running product B_{a+1} @ ... @ B_b, with d_n = r * B_n.  After the
+    first zero no product is formed, since every longer one is zero too."""
     p = M.ring.p
     rank, prod = M.ranks[a], None
     yield rank
-    for B in parts[a + 1 :]:
+    for n in range(a + 1, len(M.ranks)):
         if rank:
+            B = M.d(n).data // p
             prod = B if prod is None else matmul_exact(prod, B, p) % p
             rank = rank_mod(prod, p)
         yield rank
@@ -245,14 +228,27 @@ def _row_ranks(M: ChainComplex, parts: list, a: int):
 def composite_rank(M: ChainComplex, a: int, b: int) -> int:
     """rank_k(B_{a+1} @ ... @ B_b); equals ranks[a] when a == b."""
     require_valid(M)
-    parts = _r_parts(M)
+    _require_minimal(M)
     if not (0 <= a <= b <= M.top):
         raise UsageError(f"degrees out of range: ({a}, {b}) for top {M.top}")
-    return list(islice(_row_ranks(M, parts, a), b - a + 1))[-1]
+    return list(islice(_row_ranks(M, a), b - a + 1))[-1]
 
 
 def rho_table(M: ChainComplex) -> dict:
-    """All composite ranks {(a, b): rho(a, b)} for 0 <= a <= b <= top.
+    """All composite ranks {(a, b): rho(a, b)} for 0 <= a <= b <= top,
+    each the number of bars of ``barcode`` that cover [a, b]."""
+    bars = barcode(M)
+    degrees = range(len(M.ranks))
+    return {(a, b): _covering(bars, a, b) for a in degrees for b in degrees[a:]}
+
+
+def _covering(bars: Counter, a: int, b: int) -> int:
+    """The number of bars (i, j) with i <= a <= b <= i + j."""
+    return sum(m for (i, j), m in bars.items() if i <= a and b <= i + j)
+
+
+def barcode(M: ChainComplex) -> Counter:
+    """Interval multiplicities {(i, j): m} of a minimal complex.
 
     One sweep from the top degree down.  Entering degree n, ``basis`` is
     a basis of Im(V_{n+1} -> V_n) whose columns tagged >= b span
@@ -267,67 +263,59 @@ def rho_table(M: ChainComplex) -> dict:
     prefixes, and the pivot columns of one F_p elimination are the
     greedy independent set in column order, so they keep that property
     one degree lower.  Each elimination is ranks[n-1] x ranks[n].
+
+    A column that is not a pivot is the combination ``reduced[:r, c]``
+    of the pivot columns before it, whose tags are no smaller: its
+    generator minus that combination of older ones dies at n, the bar
+    (n, tag - n).  Each such death is checked in place, so a dropped
+    pivot or a wrong coefficient raises.  The columns left at V_0 and
+    the free rows of V_0 give the bars (0, tag).
     """
     require_valid(M)
-    parts = _r_parts(M)
+    _require_minimal(M)
     p = M.ring.p
-    table = {(a, a): r for a, r in enumerate(M.ranks)}
+    bars = []
     basis = np.zeros((M.rank(M.top), 0), dtype=np.int64)
     free = np.arange(M.rank(M.top))
     tags = np.zeros(0, dtype=np.intp)
     for n in range(M.top, 0, -1):
-        B = parts[n]
+        B = M.d(n).data // p
         columns = np.hstack([matmul_exact(B, basis, p) % p, B[:, free]])
-        _, pivot_rows, pivots, _ = echelon_mod(columns, p)
-        tags = np.concatenate([tags, np.full(len(free), n, dtype=np.intp)])[pivots]
+        tags = np.concatenate([tags, np.full(len(free), n, dtype=np.intp)])
+        r, pivot_rows, pivots, reduced = echelon_mod(columns, p)
         basis = columns[:, pivots]
-        free = _complement(pivot_rows, B.shape[0])
-        # rho(n-1, b) counts the tags >= b, all of them in one pass
-        at_least = np.cumsum(np.bincount(tags, minlength=M.top + 1)[::-1])[::-1].tolist()
-        for b in range(n, M.top + 1):
-            table[(n - 1, b)] = at_least[b]
-    return dict(sorted(table.items()))
-
-
-def barcode(M: ChainComplex) -> Counter:
-    """Interval multiplicities of a minimal complex by inclusion-exclusion."""
-    return _barcode_from_table(rho_table(M), len(M.ranks))
-
-
-def _barcode_from_table(table: dict, n_degrees: int) -> Counter:
-    rho = lambda a, b: table.get((a, b), 0)
-    out = Counter()
-    for a in range(n_degrees):
-        for b in range(a, n_degrees):
-            mult = rho(a, b) - rho(a - 1, b) - rho(a, b + 1) + rho(a - 1, b + 1)
-            if mult < 0:
+        if r < columns.shape[1]:
+            dead = _complement(pivots, columns.shape[1])
+            coeffs = reduced[:r, dead]
+            combined = matmul_exact(basis, coeffs, p) - columns[:, dead]
+            if coeffs[pivots[:, None] > dead].any() or (combined % p).any():
                 raise ChaincellError(
-                    f"negative interval multiplicity at ({a}, {b}); "
-                    "minimal complexes always split into intervals"
+                    f"a column that dies at degree {n} is not its elimination's combination"
                 )
-            if mult:
-                out[(a, b - a)] = mult
-    return out
+            bars += [(n, t - n) for t in tags[dead].tolist()]
+        tags = tags[pivots]
+        free = _complement(pivot_rows, B.shape[0])
+    bars += [(0, t) for t in tags.tolist()] + [(0, 0)] * len(free)
+    return Counter(sorted(bars))
 
 
 def decompose(X: ChainComplex) -> Decomposition:
     """Full structure: disks from minimization, intervals from the barcode.
 
     Checks the input's rank in every degree against the intervals and
-    disks, and the table's bottom row rho(i, b) against ``_row_ranks``,
-    which does not go through the sweep.  That catches any wrong entry of
-    the bottom row, the row the lattice verdicts read, but not a wrong
-    interior entry that leaves every multiplicity nonnegative.  Invalid
-    input is refused by ``minimize``.
+    disks, and the bars' bottom row rho(i, b) against ``_row_ranks``,
+    which does not go through the sweep.  With the sweep's own check of
+    every death, that catches a dropped pivot or a wrong coefficient in
+    any degree, but a spurious pivot only where it changes the bottom
+    row.  Invalid input is refused by ``minimize``.
     """
     mr = minimize(X)
     M = mr.minimal
-    table = mr.rho_table()
-    intervals = _barcode_from_table(table, len(M.ranks))
+    intervals = mr.barcode()
     dec = Decomposition(intervals, Counter(mr.disks), M)
 
     for n in range(len(X.ranks)):
-        covering = sum(m for (i, j), m in intervals.items() if i <= n <= i + j)
+        covering = _covering(intervals, n, n)
         d_here = dec.disks.get(n, 0) + dec.disks.get(n + 1, 0)
         if X.ranks[n] != covering + d_here:
             raise ChaincellError(
@@ -336,7 +324,8 @@ def decompose(X: ChainComplex) -> Decomposition:
             )
     i = mr.bottom
     if i is not None:
-        if list(_row_ranks(M, _r_parts(M), i)) != [table[(i, b)] for b in range(i, M.top + 1)]:
+        row = [_covering(intervals, i, b) for b in range(i, M.top + 1)]
+        if list(_row_ranks(M, i)) != row:
             raise ChaincellError(f"rho table row {i} differs from its product chain")
     return dec
 

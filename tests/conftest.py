@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from chaincell._kernels import enc_mul
 from chaincell.complexes import make_complex
 from chaincell.linalg import MatrixR
+from chaincell.reduce import composite_rank
 from chaincell.ring import RingSpec, check_same_ring
 
 ALL_RINGS = [
@@ -67,3 +70,21 @@ def reference_kron(A, B):
         A.data[:, None, :, None], B.data[None, :, None, :], p, fl
     ).reshape(A.rows * B.rows, A.cols * B.cols)
     return MatrixR(A.ring, prod)
+
+
+def reference_barcode(M):
+    """Interval multiplicities of a minimal complex by inclusion-exclusion on
+    its composite ranks: a summand spanning [i, i+j] counts once in
+    rho(a, b) exactly when i <= a <= b <= i+j.  ``reduce.barcode`` reads
+    births and deaths off its sweep instead; the tests compare the two."""
+    n_degrees = len(M.ranks)
+    table = {(a, b): composite_rank(M, a, b) for a in range(n_degrees) for b in range(a, n_degrees)}
+    rho = lambda a, b: table.get((a, b), 0)
+    out = Counter()
+    for a in range(n_degrees):
+        for b in range(a, n_degrees):
+            mult = rho(a, b) - rho(a - 1, b) - rho(a, b + 1) + rho(a - 1, b + 1)
+            assert mult >= 0, f"negative interval multiplicity at ({a}, {b})"
+            if mult:
+                out[(a, b - a)] = mult
+    return out

@@ -331,26 +331,26 @@ def test_from_blocks_refuses_a_block_of_the_wrong_shape(ring):
 
 
 def test_decompose_self_check_fires_on_a_wrong_interval_sum(ring, rng, monkeypatch):
-    # decompose checks the swept table's bottom row against its product
-    # chain; each fault below leaves every multiplicity nonnegative and the
-    # rank accounting whole, so only that check can see it
+    # each fault below leaves every multiplicity nonnegative and the rank
+    # accounting whole: (a) only the bottom-row check against the product
+    # chain can see, (b) the sweep's check of each death sees first
     summands = [interval(ring, 0, 2), interval(ring, 1, 1), interval(ring, 0, 0)]
     X = conjugated(direct_sum_all(ring, summands), rng)
     assert reduce.decompose(X).interval_list() == [(0, 0), (0, 2), (1, 1)]
     with monkeypatch.context() as patch:
-        # (a) the table of the minimal part with d2 zeroed
-        def table_without_d2(mr):
+        # (a) the barcode of the minimal part with d2 zeroed
+        def barcode_without_d2(mr):
             M = mr.minimal
             diffs = [M.d(1), linalg.zeros(ring, M.rank(1), M.rank(2))]
-            return reduce.rho_table(make_complex(ring, M.ranks, diffs))
+            return reduce.barcode(make_complex(ring, M.ranks, diffs))
 
-        patch.setattr(reduce.MinimizeResult, "rho_table", table_without_d2)
+        patch.setattr(reduce.MinimizeResult, "barcode", barcode_without_d2)
         with pytest.raises(ChaincellError, match="product chain"):
             reduce.decompose(X)
     with monkeypatch.context() as patch:
         # (b) the sweep's last elimination, which writes the bottom row,
         # loses one pivot
-        sweep, echelon = reduce.rho_table, reduce.echelon_mod
+        sweep, echelon = reduce.barcode, reduce.echelon_mod
 
         def sweep_losing_a_pivot(M):
             calls = []
@@ -366,6 +366,6 @@ def test_decompose_self_check_fires_on_a_wrong_interval_sum(ring, rng, monkeypat
                 inner.setattr(reduce, "echelon_mod", short_echelon)
                 return sweep(M)
 
-        patch.setattr(reduce, "rho_table", sweep_losing_a_pivot)
-        with pytest.raises(ChaincellError, match="product chain"):
+        patch.setattr(reduce, "barcode", sweep_losing_a_pivot)
+        with pytest.raises(ChaincellError, match="dies at degree 1"):
             reduce.decompose(X)

@@ -22,7 +22,10 @@ import chaincell.cli  # noqa: F401  (the tracer wraps cli.run)
 from chaincell import GuardExceeded, SizeGuard, _kernels, cross_check, direct_sum_all, hom_complex, interval
 from chaincell.lattice import is_acyclic_over, min_pair
 from chaincell.ops import tensor
+from chaincell.reduce import barcode, decompose, minimize
 from chaincell.ring import parse_ring
+
+from conftest import reference_barcode
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -59,6 +62,23 @@ def test_tracer_sees_the_oracle_layers():
     for name in ("oracle.exists_h0_epi", "complexes.brute_homology",
                  "oracle.chain_map_module", "oracle.hom_boundary_image_size"):
         assert snap[f"{name}.calls"] > 0, name
+
+
+def test_tracer_sees_the_sweep():
+    # decompose reads its bars through the public barcode, so that row
+    # reads the sweep and decompose's self time leaves it out
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    ring = parse_ring("dual:3")
+    T = tensor(interval(ring, 0, 2), direct_sum_all(ring, [interval(ring, 0, 1), interval(ring, 1, 0)]))
+    tracer = tracer_mod.Tracer(GuardExceeded).install()
+    try:
+        decompose(T)
+        snap = tracer.snapshot()
+    finally:
+        tracer.remove()
+    assert snap["reduce.barcode.calls"] >= 1
 
 
 def test_kernel_rows_names_exist():
@@ -131,3 +151,23 @@ def test_min_pair_matches_barcode_on_workload_inputs(workloads):
                 assert min_pair(Z) == barcode_min_pair(Z), (spec, xs, as_)
             assert is_acyclic_over(X, A).to_json() == barcode_acyclic_json(X, A)
             assert is_acyclic_over(A, X).to_json() == barcode_acyclic_json(A, X)
+
+
+def test_barcode_matches_inclusion_exclusion_on_workload_inputs(workloads):
+    # the 9 decompose-disks and the 9 barcode-deep inputs of seed 1, drawn
+    # as the workloads draw them
+    inputs = []
+    rng = np.random.default_rng(1)
+    for n_int, n_disk in workloads.DISK_SIZES:
+        for spec in workloads.DISK_RINGS:
+            inputs.append(workloads._scrambled(parse_ring(spec), workloads.disk_summands(n_int, n_disk), rng))
+    rng = np.random.default_rng(1)
+    for lengths in workloads.DEEP_LENGTHS:
+        for spec in workloads.DEEP_RINGS:
+            ring = parse_ring(spec)
+            X, Y = (workloads._scrambled(ring, workloads.deep_summands(lengths, k), rng) for k in (0, 1))
+            inputs.append(tensor(X, Y))
+    assert len(inputs) == 18
+    for X in inputs:
+        M = minimize(X).minimal
+        assert barcode(M) == reference_barcode(M)

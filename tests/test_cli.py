@@ -471,3 +471,51 @@ def test_degree_cap_boundary(monkeypatch, rng):
     assert len(randgen.random_complex(Z4, rng, max_degree=3).ranks) <= 4
     with pytest.raises(GuardExceeded, match="5 degrees exceed the cap of 4"):
         randgen.random_complex(Z4, rng, max_degree=4)
+
+
+# ---------------------------------------------------------------------------
+# the cell cap of tensor and hom
+
+
+def test_cli_refuses_tensor_and_hom_above_the_cell_cap(files, tmp_path, monkeypatch, capsys):
+    from chaincell import complexes, oracle
+
+    s0 = _write(tmp_path, "S0.json", serialize.complex_to_dict(sphere(Z4, 0)))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("an output above the cell cap was built or enumerated")
+
+    monkeypatch.setattr(complexes, "MAX_CELLS", 1)
+    for module, name in ((linalg, "from_blocks"), (linalg, "zeros"), (oracle, "chain_map_module"),
+                         (oracle, "hom_boundary_image_size")):
+        monkeypatch.setattr(module, name, no_build)
+    for argv in (["tensor", files["E02"], files["E01"]], ["hom", files["E01"], files["E02"]],
+                 ["hom", s0, files["E02"]]):
+        assert cli.run(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "differential cells exceed the cap of 1" in captured.err, argv
+
+
+def test_cell_cap_boundary(monkeypatch):
+    # the cap counts the cells the built differentials hold: at that count
+    # the output is built, one cell fewer is refused
+    from chaincell import complexes
+    from chaincell.errors import GuardExceeded
+    from chaincell.ops import hom_complex, tensor
+
+    X, Y = interval(Z4, 0, 1), interval(Z4, 0, 2)
+    builds = {
+        "tensor": (lambda: tensor(Y, X), lambda T: [T]),
+        "hom": (lambda: hom_complex(X, Y), lambda h: [h.positive]),
+        "hom from degree 0": (lambda: hom_complex(sphere(Z4, 0), Y), lambda h: [h.positive, h.full]),
+    }
+    built = {name: sum(d.rows * d.cols for Z in outputs(build()) for d in Z.diffs)
+             for name, (build, outputs) in builds.items()}
+    for name, (build, _) in builds.items():
+        cells = built[name]
+        assert cells > 0, name
+        monkeypatch.setattr(complexes, "MAX_CELLS", cells)
+        build()
+        monkeypatch.setattr(complexes, "MAX_CELLS", cells - 1)
+        with pytest.raises(GuardExceeded, match=f"{cells} differential cells exceed the cap of {cells - 1}"):
+            build()

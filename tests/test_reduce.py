@@ -33,7 +33,7 @@ from chaincell.reduce import (
 from chaincell.randgen import conjugated, random_complex_with_disks
 from chaincell.ring import RingSpec, parse_ring
 
-from conftest import bounded_random_complex, from_elements, unvalidated
+from conftest import bounded_random_complex, from_elements, reference_barcode, unvalidated
 
 Z4 = RingSpec("zpsq", 2)
 
@@ -357,13 +357,50 @@ def test_decompose_additive_on_sums(ring, rng):
 
 
 def test_barcode_multiplicities_nonnegative(ring, rng):
-    # barcode() raises on a negative count; run it over many minimal inputs
+    # the births and deaths of the sweep against inclusion-exclusion on the
+    # product-chain ranks, which asserts that every multiplicity is >= 0
     from chaincell.randgen import random_minimal_complex
 
     for _ in range(250):
         M = random_minimal_complex(ring, rng, max_degree=4, max_rank=4)
-        bc = barcode(M)
-        assert all(m >= 0 for m in bc.values())
+        assert barcode(M) == reference_barcode(M)
+
+
+@pytest.mark.parametrize("spec", ["zpsq:3", "dual:2"])
+def test_decompose_catches_a_dropped_pivot_and_a_wrong_coefficient(spec, rng, monkeypatch):
+    # on I(0,2) + I(1,1) + I(0,0), dropping the top step's last pivot turns
+    # I(1,1) into I(1,0) + I(2,0): the rank accounting and the bottom row
+    # both still hold, so only the check of each death can see it
+    ring = parse_ring(spec)
+    parts = [interval(ring, 0, 2), interval(ring, 1, 1), interval(ring, 0, 0)]
+    X = conjugated(direct_sum_all(ring, parts), rng)
+    assert decompose(X).interval_list() == [(0, 0), (0, 2), (1, 1)]
+    real = reduce.echelon_mod
+    faults = []
+
+    def dropped_pivot(A, p):
+        r, rows, cols, reduced = real(A, p)
+        if not faults:  # the first elimination is the top step
+            faults.append(A.shape)
+            return r - 1, rows[:-1], cols[:-1], reduced
+        return r, rows, cols, reduced
+
+    def wrong_coefficient(A, p):
+        r, rows, cols, reduced = real(A, p)
+        dead = np.setdiff1d(np.arange(A.shape[1]), cols)
+        if r and dead.size and not faults:
+            faults.append(A.shape)
+            reduced = reduced.copy()
+            reduced[0, dead[-1]] = (reduced[0, dead[-1]] + 1) % p
+        return r, rows, cols, reduced
+
+    for fault in (dropped_pivot, wrong_coefficient):
+        faults.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(reduce, "echelon_mod", fault)
+            with pytest.raises(ChaincellError, match="dies at degree"):
+                decompose(X)
+        assert faults, fault.__name__
 
 
 def test_rank_accounting(ring, rng):
