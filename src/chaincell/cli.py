@@ -1,10 +1,15 @@
 """Command-line front end.
 
+Every subcommand takes ``--ring`` and ``--output``; only ``rand``,
+``crosscheck`` and ``extension`` take ``--seed``, and only ``hom`` and
+``crosscheck`` take ``--guard``.  Every file goes through the one
+loader, and ``validate`` reports on stdout whatever it refuses.
+
 Exit codes: 0 success (and relation holds), 1 relation does not hold
 (cell / acyclic / crosscheck), 2 usage error, 3 invalid input complex,
-4 guard or degree-cap refusal, 5 internal error (any other exception,
-such as running out of memory).  Results go to stdout in the canonical
-formats; diagnostics go to stderr.
+4 guard, degree-cap or cell-cap refusal, 5 internal error (any other
+exception, such as running out of memory).  Results go to stdout in the
+canonical formats; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -41,13 +46,18 @@ def _count(text: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--ring", help="ring spec, e.g. zpsq:2 or dual:3")
-    common.add_argument("--seed", type=_count, default=0, help="random seed")
-    common.add_argument("--guard", type=_count, help="enumeration budget override")
     common.add_argument(
         "--output",
         choices=["compact", "pretty", "explain"],
         default="compact",
         help="output mode",
+    )
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_count, default=0, help="random seed")
+    guard = argparse.ArgumentParser(add_help=False)
+    guard.add_argument(
+        "--guard", type=_count, default=oracle.SizeGuard.max_search_space,
+        help="enumeration budget (default %(default)s)",
     )
 
     parser = argparse.ArgumentParser(
@@ -56,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, *paths, help=None):
-        sp = sub.add_parser(name, parents=[common], help=help)
+    def add(name, *paths, help=None, flags=()):
+        sp = sub.add_parser(name, parents=[common, *flags], help=help)
         for p in paths:
             sp.add_argument(p)
         return sp
@@ -71,18 +81,19 @@ def _build_parser() -> argparse.ArgumentParser:
     add("cone", "file_map", help="mapping cone of a chain map file")
     add("sum", "file_x", "file_y", help="direct sum")
     add("tensor", "file_x", "file_y", help="tensor product")
-    add("hom", "file_x", "file_y", help="hom complex")
+    add("hom", "file_x", "file_y", help="hom complex", flags=[guard])
     shift_p = add("shift", "file", help="suspension by n")
     shift_p.add_argument("amount", type=_count)
     gen_p = add("gen", help="emit a canonical complex")
     gen_p.add_argument("kind", choices=["sphere", "disk", "interval"])
     gen_p.add_argument("params", type=int, nargs="+")
-    rand_p = add("rand", help="seeded random complex")
+    rand_p = add("rand", help="seeded random complex", flags=[seed])
     rand_p.add_argument("--max-degree", type=_count, default=4)
     rand_p.add_argument("--max-rank", type=_count, default=3)
     rand_p.add_argument("--allow-units", action="store_true")
-    add("crosscheck", "file_x", "file_a", help="lattice verdict vs brute-force H0 criterion")
-    add("extension", "file_x", "file_z", help="random extension of Z by X")
+    add("crosscheck", "file_x", "file_a", help="lattice verdict vs brute-force H0 criterion",
+        flags=[seed, guard])
+    add("extension", "file_x", "file_z", help="random extension of Z by X", flags=[seed])
     return parser
 
 
@@ -90,17 +101,8 @@ def _ring_override(args):
     return parse_ring(args.ring) if args.ring else None
 
 
-def _load(args, attr="file", force=False):
-    path = getattr(args, attr)
-    return serialize.load_complex(
-        path, force=force, ring_override=_ring_override(args)
-    )
-
-
-def _guard(args) -> oracle.SizeGuard:
-    if args.guard is not None:
-        return oracle.SizeGuard(args.guard)
-    return oracle.SizeGuard()
+def _load(args, attr="file"):
+    return serialize.load_complex(getattr(args, attr), ring_override=_ring_override(args))
 
 
 def _emit(args, obj, explain_lines=None):
@@ -112,14 +114,14 @@ def _emit(args, obj, explain_lines=None):
 
 
 def _cmd_validate(args):
-    X = _load(args, force=True)
-    problem = complexes.validate(X)
-    if problem is None:
-        _emit(args, {"ok": True}, [f"ok: valid complex over {X.ring}"])
-        return 0
-    print(f"invalid complex: {problem}", file=sys.stderr)
-    _emit(args, {"ok": False, "diagnostic": problem}, [f"invalid: {problem}"])
-    return 3
+    try:
+        X = _load(args)
+    except InvalidComplexError as exc:
+        print(f"invalid complex: {exc}", file=sys.stderr)
+        _emit(args, {"ok": False, "diagnostic": str(exc)}, [f"invalid: {exc}"])
+        return 3
+    _emit(args, {"ok": True}, [f"ok: valid complex over {X.ring}"])
+    return 0
 
 
 def _cmd_homology(args):
@@ -198,7 +200,7 @@ def _cmd_tensor(args):
 def _cmd_hom(args):
     X = _load(args, "file_x")
     Y = _load(args, "file_y")
-    h = ops.hom_complex(X, Y, guard=_guard(args))
+    h = ops.hom_complex(X, Y, guard=oracle.SizeGuard(args.guard))
     lines = [
         f"degree 0 module: {h.degree0}",
         f"positive-degree ranks: {list(h.positive.ranks)}",
@@ -251,7 +253,7 @@ def _cmd_rand(args):
 def _cmd_crosscheck(args):
     X = _load(args, "file_x")
     A = _load(args, "file_a")
-    result = oracle.cross_check(X, A, _guard(args))
+    result = oracle.cross_check(X, A, oracle.SizeGuard(args.guard))
     report = [result.to_json(pair=[args.file_x, args.file_a], seed=args.seed)]
     lines = [
         f"lattice verdict: {result.lattice_verdict}",

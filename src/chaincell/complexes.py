@@ -32,8 +32,9 @@ BRUTE_WORK_LIMIT = 1 << 20
 # A complex spans at most this many degrees.  Building one costs about
 # 13 us and 0.4 KB a degree, so the cap is checked before anything is built.
 MAX_DEGREES = 1 << 16
-# ``tensor`` and ``hom`` build at most this many dense differential cells
-# (512 MB as int64), counted from the ranks before anything is built.
+# ``tensor``, ``hom`` and the random complexes build at most this many dense
+# differential cells (512 MB as int64), counted from the ranks before
+# anything is built.
 MAX_CELLS = 1 << 26
 
 _UNKNOWN = object()  # the verdict of a complex not validated yet

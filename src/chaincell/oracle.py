@@ -43,7 +43,7 @@ from .complexes import (
     module_from_sizes,
     require_valid,
 )
-from .errors import ChaincellError, DomainError, GuardExceeded, UsageError
+from .errors import ChaincellError, DomainError, GuardExceeded, InvalidComplexError, UsageError
 from .lattice import _cellular_verdict, _min_pair
 from .linalg import MatrixR, from_blocks
 from .ops import ChainMap, desuspend
@@ -157,17 +157,16 @@ class _MapSearch:
         ]
         cnt = {k: 1 for k in self.viable[-1] if admitted[-1][k]}
         for n in range(self.levels - 1, 0, -1):
-            prev = {}
-            for k in self.viable[n - 1]:
-                if not admitted[n - 1][k]:
-                    continue
-                total = sum(
-                    cnt.get(kk, 0)
-                    for kk in self.groups[n].get(self.rhs_keys[n - 1][k], ())
-                )
-                if total:
-                    prev[k] = total
-            cnt = prev
+            by_key = {}  # lhs key -> chain maps so far through it
+            for k, c in cnt.items():
+                key = self.lhs_keys[n][k]
+                by_key[key] = by_key.get(key, 0) + c
+            rhs = self.rhs_keys[n - 1]
+            cnt = {
+                k: by_key[rhs[k]]
+                for k in self.viable[n - 1]
+                if admitted[n - 1][k] and rhs[k] in by_key
+            }
         return sum(cnt.values())
 
     def to_chain_map(self, key_tuple) -> ChainMap:
@@ -369,28 +368,12 @@ class Extension:
     seed: Optional[int]
 
 
-def _connecting_ok(X: ChainComplex, Z: ChainComplex, hs: dict) -> bool:
-    p, fl = X.ring.p, X.ring.flavor_code
-
-    def h(n):
-        if n in hs:
-            return hs[n]
-        return np.zeros((X.rank(n - 1), Z.rank(n)), dtype=np.int64)
-
-    top = max(X.top, Z.top)
-    for n in range(1, top + 1):
-        lhs = _kernels.mat_mul(X.d(n).data, h(n + 1), p, fl)
-        rhs = _kernels.mat_mul(h(n), Z.d(n + 1).data, p, fl)
-        if np.any(enc_add(lhs, rhs, p, fl)):
-            return False
-    return True
-
-
 def extension(X: ChainComplex, Z: ChainComplex, hs: dict, seed=None) -> Extension:
     """Assemble Y with Y_n = X_n (+) Z_n and differential [[d_X, h], [0, d_Z]].
 
     hs maps degree n to the connecting block Z_n -> X_{n-1} (an encoded
-    array or MatrixR); blocks must satisfy d_X @ h + h @ d_Z = 0.
+    array or MatrixR); blocks must satisfy d_X @ h + h @ d_Z = 0, which
+    on valid X and Z is exactly d*d = 0 on Y, checked as Y is built.
     """
     if X.ring != Z.ring:
         raise UsageError("ring mismatch in extension")
@@ -406,9 +389,6 @@ def extension(X: ChainComplex, Z: ChainComplex, hs: dict, seed=None) -> Extensio
                 f"connecting block at degree {n} has shape {m.shape}, "
                 f"expected {(X.rank(n - 1), Z.rank(n))}"
             )
-    if not _connecting_ok(X, Z, hs):
-        raise UsageError("connecting blocks do not satisfy d*h + h*d = 0")
-
     ring = X.ring
     n_degrees = max(len(X.ranks), len(Z.ranks))
     sizes = [[X.rank(n), Z.rank(n)] for n in range(n_degrees)]
@@ -418,7 +398,10 @@ def extension(X: ChainComplex, Z: ChainComplex, hs: dict, seed=None) -> Extensio
         if n in hs:
             blocks[(0, 1)] = hs[n]
         diffs.append(from_blocks(ring, sizes[n - 1], sizes[n], blocks))
-    Y = make_complex(ring, [sum(s) for s in sizes], diffs, check=True)
+    try:
+        Y = make_complex(ring, [sum(s) for s in sizes], diffs, check=True)
+    except InvalidComplexError:
+        raise UsageError("connecting blocks do not satisfy d*h + h*d = 0") from None
 
     incl_mats, proj_mats = [], []
     for n in range(n_degrees):
@@ -436,13 +419,10 @@ def extension(X: ChainComplex, Z: ChainComplex, hs: dict, seed=None) -> Extensio
 def random_extension(X: ChainComplex, Z: ChainComplex, seed: int, attempts: int = 64) -> Extension:
     """Extension of Z by X with a randomly sampled connecting block.
 
-    Rejection-samples uniform blocks within the attempt budget; the zero
-    block always works, so the fallback keeps this total.
+    Rejection-samples uniform blocks through ``extension`` within the
+    attempt budget; the zero block always works on valid inputs, so the
+    fallback keeps this total, and raises what invalid inputs fail.
     """
-    if X.ring != Z.ring:
-        raise UsageError("ring mismatch in extension")
-    require_valid(X)
-    require_valid(Z)
     rng = np.random.default_rng(seed)
     size = X.ring.size
     degrees = [
@@ -455,6 +435,8 @@ def random_extension(X: ChainComplex, Z: ChainComplex, seed: int, attempts: int 
             n: rng.integers(0, size, size=(X.rank(n - 1), Z.rank(n)), dtype=np.int64)
             for n in degrees
         }
-        if _connecting_ok(X, Z, hs):
+        try:
             return extension(X, Z, hs, seed=seed)
+        except UsageError:
+            continue
     return extension(X, Z, {}, seed=seed)

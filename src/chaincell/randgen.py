@@ -13,19 +13,28 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .complexes import ChainComplex, _check_degrees, _inherit_verdict, disk, interval, make_complex
+from .complexes import (
+    ChainComplex, _check_cells, _check_degrees, _inherit_verdict, disk, interval, make_complex,
+)
 from .errors import DomainError, InvalidComplexError, UsageError
 from .linalg import MatrixR
 from .ops import direct_sum_all
 from .ring import RingSpec
 
 
-def random_minimal_complex(ring: RingSpec, rng, max_degree: int = 4, max_rank: int = 3) -> ChainComplex:
-    """Uniform ranks, entries uniform in m; always valid, always minimal."""
+def _random_ranks(rng, max_degree: int, max_rank: int) -> list:
+    """Uniform ranks, refused above the cell cap before any entry is drawn."""
     n_degrees = int(rng.integers(0, max_degree + 2))
     ranks = [int(rng.integers(0, max_rank + 1)) for _ in range(n_degrees)]
+    _check_cells(ranks)
+    return ranks
+
+
+def random_minimal_complex(ring: RingSpec, rng, max_degree: int = 4, max_rank: int = 3) -> ChainComplex:
+    """Uniform ranks, entries uniform in m; always valid, always minimal."""
+    ranks = _random_ranks(rng, max_degree, max_rank)
     diffs = []
-    for n in range(1, n_degrees):
+    for n in range(1, len(ranks)):
         b = rng.integers(0, ring.p, size=(ranks[n - 1], ranks[n]), dtype=np.int64)
         diffs.append(MatrixR(ring, ring.p * b))
     return make_complex(ring, ranks, diffs, check=False)
@@ -43,14 +52,13 @@ def random_complex(
     if not allow_units:
         return random_minimal_complex(ring, rng, max_degree, max_rank)
     for _ in range(attempts):
-        n_degrees = int(rng.integers(0, max_degree + 2))
-        ranks = [int(rng.integers(0, max_rank + 1)) for _ in range(n_degrees)]
+        ranks = _random_ranks(rng, max_degree, max_rank)
         diffs = [
             MatrixR(
                 ring,
                 rng.integers(0, ring.size, size=(ranks[n - 1], ranks[n]), dtype=np.int64),
             )
-            for n in range(1, n_degrees)
+            for n in range(1, len(ranks))
         ]
         try:
             return make_complex(ring, ranks, diffs, check=True)

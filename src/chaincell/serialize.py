@@ -1,10 +1,13 @@
 """Canonical text formats for complexes, maps, decompositions, reports.
 
 One writer, fixed key order, so emitted files are byte-reproducible:
-parse(emit(x)) == x and emit(parse(emit(x))) == emit(x).  Parsers
-reject out-of-range entry pairs always.  Only a complex can be forced:
-under force=True its shape violations and d*d != 0 pass, so that the
-``validate`` command can diagnose them.  Chain maps are always checked.
+parse(emit(x)) == x and emit(parse(emit(x))) == emit(x).  The parsers
+check only what a file can get wrong before it is a complex or a map:
+JSON structure, entry types and ranges, ragged rows and the degree cap.
+The rules of a complex (the number of differentials, their shapes and
+d*d = 0) are ``complexes.validate``'s, run on the complex as written,
+before trailing zero ranks are trimmed; its diagnostic is the
+``InvalidComplexError``.  Chain maps are checked by ``ops.is_chain_map``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 
 import numpy as np
 
-from .complexes import ChainComplex, _check_degrees, make_complex
+from .complexes import ChainComplex, _check_degrees, _inherit_verdict, make_complex, validate
 from .errors import InvalidComplexError, UsageError
 from .linalg import MatrixR
 from .ops import ChainMap, HomComplex, is_chain_map
@@ -44,18 +47,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _parse_matrix(ring: RingSpec, rows, expected_shape, force: bool = False):
+def _parse_matrix(ring: RingSpec, rows, cols: int) -> MatrixR:
+    """A matrix from a list of rows of entry pairs; an empty list of rows
+    is a 0 x cols matrix."""
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise InvalidComplexError("differential must be a list of rows")
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else expected_shape[1]
+    n_cols = len(rows[0]) if rows else cols
     if any(len(r) != n_cols for r in rows):
         raise InvalidComplexError("ragged differential rows")
-    shape = (n_rows, n_cols)
-    if shape != expected_shape and not force:
-        raise InvalidComplexError(
-            f"differential shape {shape} does not match ranks {expected_shape}"
-        )
     for row in rows:
         for pair in row:
             if (
@@ -68,11 +67,11 @@ def _parse_matrix(ring: RingSpec, rows, expected_shape, force: bool = False):
                 raise InvalidComplexError(
                     f"entry {pair} out of range for p={ring.p}"
                 )
-    pairs = np.array(rows, dtype=np.int64).reshape(shape + (2,))
+    pairs = np.array(rows, dtype=np.int64).reshape((len(rows), n_cols, 2))
     return MatrixR(ring, pairs[..., 0] + ring.p * pairs[..., 1])
 
 
-def complex_from_dict(data, force: bool = False, ring_override: RingSpec = None) -> ChainComplex:
+def complex_from_dict(data, ring_override: RingSpec = None) -> ChainComplex:
     if not isinstance(data, dict):
         raise InvalidComplexError("complex file must hold a JSON object")
     for key in ("ring", "ranks", "differentials"):
@@ -92,26 +91,14 @@ def complex_from_dict(data, force: bool = False, ring_override: RingSpec = None)
     mats_raw = data["differentials"]
     if not isinstance(mats_raw, list):
         raise InvalidComplexError("differentials must be a list of matrices")
-    expected = max(len(ranks) - 1, 0)
-    if len(mats_raw) != expected and not force:
-        raise InvalidComplexError(
-            f"expected {expected} differentials, found {len(mats_raw)}"
-        )
-    mats = []
-    for n, rows in enumerate(mats_raw, start=1):
-        shape = (
-            ranks[n - 1] if n - 1 < len(ranks) else 0,
-            ranks[n] if n < len(ranks) else 0,
-        )
-        mats.append(_parse_matrix(ring, rows, shape, force))
-    if force:
-        return ChainComplex(ring, tuple(ranks), tuple(mats))
-    try:
-        return make_complex(ring, ranks, mats, check=True)
-    except InvalidComplexError:
-        raise
-    except Exception as exc:  # defensive: surface anything odd as invalid input
-        raise InvalidComplexError(str(exc)) from exc
+    mats = [
+        _parse_matrix(ring, rows, ranks[n] if n < len(ranks) else 0)
+        for n, rows in enumerate(mats_raw, start=1)
+    ]
+    problem = validate(ChainComplex(ring, tuple(ranks), tuple(mats)))
+    if problem is not None:
+        raise InvalidComplexError(problem)
+    return _inherit_verdict(make_complex(ring, ranks, mats, check=False))
 
 
 def _read_json(path):
@@ -122,8 +109,8 @@ def _read_json(path):
             raise InvalidComplexError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def load_complex(path, force: bool = False, ring_override: RingSpec = None) -> ChainComplex:
-    return complex_from_dict(_read_json(path), force=force, ring_override=ring_override)
+def load_complex(path, ring_override: RingSpec = None) -> ChainComplex:
+    return complex_from_dict(_read_json(path), ring_override=ring_override)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +142,7 @@ def chain_map_from_dict(data, ring_override: RingSpec = None) -> ChainMap:
             f"expected {degrees} matrices, found {len(mats_raw)}"
         )
     mats = [
-        _parse_matrix(source.ring, rows, (target.rank(n), source.rank(n)))
+        _parse_matrix(source.ring, rows, source.rank(n))
         for n, rows in enumerate(mats_raw)
     ]
     f = ChainMap(source, target, tuple(mats))

@@ -49,18 +49,15 @@ def test_parser_rejections():
         "ranks": [1, 1, 1],
         "differentials": [[[[1, 0]]], [[[1, 0]]]],
     }
-    with pytest.raises(InvalidComplexError):
+    with pytest.raises(InvalidComplexError, match=r"^degree 1: d1\*d2 != 0$"):
         serialize.complex_from_dict(bad_dd)
-    forced = serialize.complex_from_dict(bad_dd, force=True)
-    from chaincell.complexes import validate
-
-    assert validate(forced) is not None
 
 
-def test_out_of_range_rejected_even_with_force():
-    data = {"ring": "zpsq:2", "ranks": [1, 1], "differentials": [[[[5, 0]]]]}
-    with pytest.raises(InvalidComplexError):
-        serialize.complex_from_dict(data, force=True)
+def test_out_of_range_rejected_before_the_complex_rules():
+    # a missing differential too: the parser's own entry check comes first
+    data = {"ring": "zpsq:2", "ranks": [1, 1, 1], "differentials": [[[[5, 0]]]]}
+    with pytest.raises(InvalidComplexError, match="out of range"):
+        serialize.complex_from_dict(data)
 
 
 def test_ring_override_agreement():
@@ -97,7 +94,12 @@ def _write(tmp_path, name, obj):
 
 
 # not complexes: d1*d2 != 0, a missing differential, a 2x2 differential
-# against ranks [1, 1]
+# against ranks [1, 1]; DIAGNOSTIC holds what validate says of each
+DIAGNOSTIC = {
+    "dd": "degree 1: d1*d2 != 0",
+    "missing": "expected 2 differentials, found 1",
+    "shape": "degree 1: differential shape 2x2, expected 1x1",
+}
 INVALID = {
     "dd": {"ring": "zpsq:2", "ranks": [1, 1, 1], "differentials": [[[[1, 0]]], [[[1, 0]]]]},
     "missing": {"ring": "zpsq:2", "ranks": [1, 1, 1], "differentials": [[[[1, 0]]]]},
@@ -172,54 +174,101 @@ def test_cli_invalid_input_exit_3(files, capsys):
 
 @pytest.mark.parametrize("name", sorted(INVALID))
 def test_cli_refuses_every_invalid_complex(tmp_path, capsys, name):
-    # no subcommand but validate computes on a file that is not a complex
+    # no subcommand but validate computes on a file that is not a complex,
+    # and each refuses it with the diagnostic validate prints
     for argv in _invalid_argvs(tmp_path, name):
         assert cli.run(argv) == 3, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
-        assert captured.err.startswith("invalid input:"), argv
+        assert captured.err == f"invalid input: {DIAGNOSTIC[name]}\n", argv
 
 
 @pytest.mark.parametrize("name", sorted(INVALID))
 def test_cli_validate_diagnoses_every_invalid_complex(tmp_path, capsys, name):
     assert cli.run(["validate", _write(tmp_path, "bad.json", INVALID[name])]) == 3
     captured = capsys.readouterr()
-    diagnostic = json.loads(captured.out)["diagnostic"]
-    assert captured.err == f"invalid complex: {diagnostic}\n"
+    assert json.loads(captured.out) == {"ok": False, "diagnostic": DIAGNOSTIC[name]}
+    assert captured.err == f"invalid complex: {DIAGNOSTIC[name]}\n"
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "text, diagnostic",
     [
-        ["validate", "E01"],
-        ["homology", "E01"],
-        ["minimize", "E01"],
-        ["decompose", "E01"],
-        ["cell", "E02", "E01"],
-        ["acyclic", "E01", "E02"],
-        ["cone", "map"],
-        ["sum", "E01", "S1"],
-        ["tensor", "E01", "S1"],
-        ["hom", "D1", "D1"],
-        ["shift", "E01", "1"],
-        ["gen", "sphere", "0"],
-        ["rand"],
-        ["crosscheck", "E02", "E01"],
-        ["extension", "E01", "S1"],
+        ("{", "not valid JSON"),
+        ('{"ring": "zpsq:2", "ranks": [1]}', "missing key 'differentials'"),
+        ('{"ring": "zpsq:2", "ranks": [2, 1], "differentials": [[[[0, 0]], []]]}',
+         "ragged differential rows"),
+        ('{"ring": "zpsq:2", "ranks": [1, 1], "differentials": [[[[0, 7]]]]}', "out of range"),
     ],
-    ids=lambda argv: argv[0],
+    ids=["json", "key", "ragged", "entry"],
 )
-def test_cli_force_is_not_an_option(files, tmp_path, capsys, argv):
+def test_cli_validate_reports_parser_refusals(tmp_path, capsys, text, diagnostic):
+    # what the parser refuses before there is a complex, validate reports as well
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.run(["validate", str(path)]) == 3
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["ok"] is False and diagnostic in out["diagnostic"]
+    assert captured.err == f"invalid complex: {out['diagnostic']}\n"
+
+
+# one call of every subcommand, on valid inputs
+EVERY_SUBCOMMAND = [
+    ["validate", "E01"],
+    ["homology", "E01"],
+    ["minimize", "E01"],
+    ["decompose", "E01"],
+    ["cell", "E02", "E01"],
+    ["acyclic", "E01", "E02"],
+    ["cone", "map"],
+    ["sum", "E01", "S1"],
+    ["tensor", "E01", "S1"],
+    ["hom", "D1", "D1"],
+    ["shift", "E01", "1"],
+    ["gen", "sphere", "0"],
+    ["rand"],
+    ["crosscheck", "E02", "E01"],
+    ["extension", "E01", "S1"],
+]
+
+# the flags a subcommand reads besides --ring and --output, which all read
+READS = {"rand": {"--seed"}, "crosscheck": {"--seed", "--guard"}, "extension": {"--seed"},
+         "hom": {"--guard"}}
+
+
+def _every_subcommand_argv(files, tmp_path, argv):
     files["map"] = _write(
         tmp_path, "map.json", serialize.chain_map_to_dict(identity_map(interval(Z4, 0, 1)))
     )
-    argv = [files.get(a, a) for a in argv]
+    return [files.get(a, a) for a in argv]
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_cli_force_is_not_an_option(files, tmp_path, capsys, argv):
+    argv = _every_subcommand_argv(files, tmp_path, argv)
     assert cli.run(argv) == 0
     capsys.readouterr()
     assert cli.run(argv + ["--force"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --force" in captured.err
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_cli_accepts_only_the_flags_it_reads(files, tmp_path, capsys, argv):
+    argv = _every_subcommand_argv(files, tmp_path, argv)
+    assert cli.run(argv + ["--ring", "zpsq:2", "--output", "pretty"]) == 0
+    capsys.readouterr()
+    for flag in ("--seed", "--guard"):
+        code = cli.run(argv + [flag, "4096"])
+        captured = capsys.readouterr()
+        if flag in READS.get(argv[0], ()):
+            assert code == 0, flag
+        else:
+            assert code == 2, flag
+            assert captured.out == ""
+            assert f"unrecognized arguments: {flag} 4096" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -494,6 +543,37 @@ def test_cli_refuses_tensor_and_hom_above_the_cell_cap(files, tmp_path, monkeypa
         assert cli.run(argv) == 4, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "differential cells exceed the cap of 1" in captured.err, argv
+
+
+@pytest.mark.parametrize(
+    "units, out",
+    [
+        ([], '{"ring":"zpsq:2","ranks":[2,3],"differentials":'
+             '[[[[0,1],[0,0],[0,0]],[[0,1],[0,1],[0,0]]]]}\n'),
+        (["--allow-units"], '{"ring":"zpsq:2","ranks":[2,3],"differentials":'
+                            '[[[[1,1],[0,0],[0,0]],[[1,1],[1,1],[0,0]]]]}\n'),
+    ],
+    ids=["minimal", "units"],
+)
+def test_cli_rand_refuses_ranks_above_the_cell_cap(monkeypatch, capsys, units, out):
+    # seed 1 draws ranks [2, 3], 6 cells: at the cap the draw is unchanged,
+    # one cell under it is refused before any entry is drawn
+    from chaincell import complexes, randgen
+
+    argv = ["rand", "--seed", "1", "--max-degree", "3", *units]
+    monkeypatch.setattr(complexes, "MAX_CELLS", 6)
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == out
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an entry was drawn above the cell cap")
+
+    monkeypatch.setattr(complexes, "MAX_CELLS", 5)
+    monkeypatch.setattr(randgen, "MatrixR", no_draw)
+    assert cli.run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "6 differential cells exceed the cap of 5" in captured.err
 
 
 def test_cell_cap_boundary(monkeypatch):

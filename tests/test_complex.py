@@ -20,7 +20,6 @@ from chaincell import (
     ops,
     oracle,
     reduce,
-    serialize,
     sphere,
     validate,
 )
@@ -284,9 +283,9 @@ def test_complexes_built_from_valid_ones_are_not_validated_again(monkeypatch, rn
 
 
 def _forced_bad():
-    """A force-loaded complex with d1*d2 != 0 and every shape right."""
-    data = {"ring": "zpsq:2", "ranks": [1, 1, 1], "differentials": [[[[1, 0]]], [[[1, 0]]]]}
-    return serialize.complex_from_dict(data, force=True)
+    """A complex built unchecked, with d1*d2 != 0 and every shape right."""
+    unit = linalg.MatrixR(Z4, np.array([[1]]))
+    return make_complex(Z4, [1, 1, 1], [unit, unit], check=False)
 
 
 def _public_entries():
