@@ -33,6 +33,7 @@ from .linalg import (
 )
 from .ops import (
     ChainMap,
+    Extension,
     HomComplex,
     compose,
     cone,
@@ -40,6 +41,7 @@ from .ops import (
     desuspend,
     direct_sum,
     direct_sum_all,
+    extension,
     hom_complex,
     identity_map,
     is_chain_map,
@@ -50,13 +52,11 @@ from .ops import (
 )
 from .oracle import (
     CrossCheck,
-    Extension,
     SizeGuard,
     chain_map_module,
     cross_check,
     enumerate_chain_maps,
     exists_h0_epi,
-    extension,
     random_extension,
 )
 from .reduce import (

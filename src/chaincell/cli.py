@@ -3,7 +3,8 @@
 Every subcommand takes ``--ring`` and ``--output``; only ``rand``,
 ``crosscheck`` and ``extension`` take ``--seed``, and only ``hom`` and
 ``crosscheck`` take ``--guard``.  Every file goes through the one
-loader, and ``validate`` reports on stdout whatever it refuses.
+loader; ``validate`` also reports on stdout whatever it refuses, and every
+subcommand words the refusal of an invalid file the same way on stderr.
 
 Exit codes: 0 success (and relation holds), 1 relation does not hold
 (cell / acyclic / crosscheck), 2 usage error, 3 invalid input complex,
@@ -117,9 +118,8 @@ def _cmd_validate(args):
     try:
         X = _load(args)
     except InvalidComplexError as exc:
-        print(f"invalid complex: {exc}", file=sys.stderr)
         _emit(args, {"ok": False, "diagnostic": str(exc)}, [f"invalid: {exc}"])
-        return 3
+        raise
     _emit(args, {"ok": True}, [f"ok: valid complex over {X.ring}"])
     return 0
 

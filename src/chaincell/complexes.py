@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels, linalg
-from .errors import ChaincellError, DomainError, GuardExceeded, InvalidComplexError, UsageError
+from .errors import ChaincellError, DomainError, GuardExceeded, InvalidComplexError
 from .linalg import MatrixR
 from .ring import RingSpec
 
@@ -32,9 +32,9 @@ BRUTE_WORK_LIMIT = 1 << 20
 # A complex spans at most this many degrees.  Building one costs about
 # 13 us and 0.4 KB a degree, so the cap is checked before anything is built.
 MAX_DEGREES = 1 << 16
-# ``tensor``, ``hom`` and the random complexes build at most this many dense
-# differential cells (512 MB as int64), counted from the ranks before
-# anything is built.
+# ``sum``, ``cone``, ``extension``, ``tensor``, ``hom`` and the random
+# complexes build at most this many dense cells (512 MB as int64), counted
+# from the ranks before anything is built.
 MAX_CELLS = 1 << 26
 
 _UNKNOWN = object()  # the verdict of a complex not validated yet
@@ -131,7 +131,7 @@ def require_valid(X: ChainComplex):
     if X._verdict is _UNKNOWN:
         object.__setattr__(X, "_verdict", validate(X))
     if X._verdict is not None:
-        raise UsageError(f"invalid complex: {X._verdict}")
+        raise InvalidComplexError(X._verdict)
 
 
 def _check_degrees(n: int):
@@ -140,10 +140,11 @@ def _check_degrees(n: int):
         raise GuardExceeded(f"{n} degrees exceed the cap of {MAX_DEGREES}", required=n)
 
 
-def _check_cells(*rank_lists):
-    """Refuse complexes of these ranks whose differentials would hold more
-    than ``MAX_CELLS`` cells in all, before they are built."""
-    cells = sum(a * b for ranks in rank_lists for a, b in pairwise(ranks))
+def _check_cells(*rank_lists, extra: int = 0):
+    """Refuse complexes of these ranks whose differentials, with ``extra``
+    cells more, would hold more than ``MAX_CELLS`` cells in all, before
+    they are built."""
+    cells = extra + sum(a * b for ranks in rank_lists for a, b in pairwise(ranks))
     if cells > MAX_CELLS:
         raise GuardExceeded(
             f"{cells} differential cells exceed the cap of {MAX_CELLS}", required=cells

@@ -1,4 +1,10 @@
-"""Constructions on complexes and chain maps: shift, sum, cone, tensor, hom.
+"""Constructions on complexes and chain maps: shift, sum, extension, cone,
+tensor, hom.
+
+``extension`` is the one block-triangular builder: the cone of f: X -> Y
+is the extension of shift(X, 1) by Y with f as its connecting blocks.
+Sum, extension (and so the cone), tensor and hom count the cells they
+will write before they allocate any (``complexes.MAX_CELLS``).
 
 Sign and ordering conventions are fixed so outputs are reproducible
 byte for byte:
@@ -30,7 +36,7 @@ from .complexes import (
     make_complex,
     require_valid,
 )
-from .errors import DomainError, UsageError
+from .errors import DomainError, InvalidComplexError, UsageError
 from .linalg import MatrixR
 from .ring import RingSpec
 
@@ -152,11 +158,13 @@ def direct_sum_all(ring: RingSpec, complexes) -> ChainComplex:
             raise UsageError(f"ring mismatch in direct sum: {X.ring} vs {ring}")
     n_degrees = max((len(X.ranks) for X in complexes), default=0)
     sizes = [[X.rank(n) for X in complexes] for n in range(n_degrees)]
+    ranks = [sum(s) for s in sizes]
+    _check_cells(ranks)
     diffs = []
     for n in range(1, n_degrees):  # each summand writes only its own differentials
         own = {(k, k): X.diffs[n - 1].data for k, X in enumerate(complexes) if n <= X.top}
         diffs.append(linalg.from_blocks(ring, sizes[n - 1], sizes[n], own))
-    return _inherit_verdict(make_complex(ring, [sum(s) for s in sizes], diffs, check=False), *complexes)
+    return _inherit_verdict(make_complex(ring, ranks, diffs, check=False), *complexes)
 
 
 def direct_sum(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
@@ -164,41 +172,83 @@ def direct_sum(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# cone
+# extensions and cones
+
+
+@dataclass
+class Extension:
+    total: ChainComplex  # the middle term Y
+    inclusion: ChainMap  # X -> Y
+    projection: ChainMap  # Y -> Z
+    seed: Optional[int]
+
+
+def _extension_cells(X: ChainComplex, Z: ChainComplex) -> int:
+    """Every cell ``extension`` writes: Y's differentials, then its inclusion
+    and projection with the identity blocks copied into them."""
+    ranks = [X.rank(n) + Z.rank(n) for n in range(max(len(X.ranks), len(Z.ranks)))]
+    diffs = sum(a * b for a, b in zip(ranks, ranks[1:]))
+    return diffs + sum(r * r + X.rank(n) ** 2 + Z.rank(n) ** 2 for n, r in enumerate(ranks))
+
+
+def extension(X: ChainComplex, Z: ChainComplex, hs: dict, seed=None) -> Extension:
+    """Assemble Y with Y_n = X_n (+) Z_n and differential [[d_X, h], [0, d_Z]].
+
+    hs maps degree n to the connecting block Z_n -> X_{n-1} (an encoded
+    array or MatrixR); blocks must satisfy d_X @ h + h @ d_Z = 0, which
+    on valid X and Z is exactly d*d = 0 on Y, checked as Y is built.
+    Every cell is counted before any is written.
+    """
+    if X.ring != Z.ring:
+        raise UsageError("ring mismatch in extension")
+    _check_cells(extra=_extension_cells(X, Z))
+    require_valid(X)
+    require_valid(Z)
+    hs = {
+        n: (m.data if isinstance(m, MatrixR) else np.asarray(m, dtype=np.int64))
+        for n, m in hs.items()
+    }
+    for n, m in hs.items():
+        if m.shape != (X.rank(n - 1), Z.rank(n)):
+            raise UsageError(
+                f"connecting block at degree {n} has shape {m.shape}, "
+                f"expected {(X.rank(n - 1), Z.rank(n))}"
+            )
+    ring = X.ring
+    n_degrees = max(len(X.ranks), len(Z.ranks))
+    sizes = [[X.rank(n), Z.rank(n)] for n in range(n_degrees)]
+    diffs = []
+    for n in range(1, n_degrees):
+        blocks = {(0, 0): X.d(n).data, (1, 1): Z.d(n).data}
+        if n in hs:
+            blocks[(0, 1)] = hs[n]
+        diffs.append(linalg.from_blocks(ring, sizes[n - 1], sizes[n], blocks))
+    try:
+        Y = make_complex(ring, [sum(s) for s in sizes], diffs, check=True)
+    except InvalidComplexError as exc:
+        raise UsageError(f"connecting blocks do not satisfy d*h + h*d = 0: {exc}") from None
+
+    incl = [linalg.from_blocks(ring, [x, z], [x], {(0, 0): _eye(x)}) for x, z in sizes]
+    proj = [linalg.from_blocks(ring, [z], [x, z], {(0, 1): _eye(z)}) for x, z in sizes]
+    return Extension(Y, ChainMap(X, Y, tuple(incl)), ChainMap(Y, Z, tuple(proj)), seed)
+
+
+def _cone(f: ChainMap) -> Extension:
+    """The cone of f as the extension of shift(X, 1) by Y with f as its
+    connecting blocks; its d*d check is exactly f commuting with d.
+    X is validated before it is shifted, so a refusal names X's degrees."""
+    require_valid(f.source)
+    return extension(f.target, shift(f.source, 1), {n + 1: m for n, m in enumerate(f.mats)})
 
 
 def cone(f: ChainMap) -> ChainComplex:
     """Mapping cone: C_n = Y_n (+) X_{n-1}, d = [[d_Y, f], [0, -d_X]]."""
-    problem = is_chain_map(f)
-    if problem is not None:
-        raise UsageError(f"cone of a non-chain-map: {problem}")
-    X, Y = f.source, f.target
-    ring = X.ring
-    n_degrees = max(len(Y.ranks), len(X.ranks) + 1)
-    ranks = [Y.rank(n) + X.rank(n - 1) for n in range(n_degrees)]
-    diffs = []
-    for n in range(1, n_degrees):
-        nonzero = {}
-        if n <= Y.top:
-            nonzero[(0, 0)] = Y.diffs[n - 1].data
-        if n - 1 < len(f.mats):
-            nonzero[(0, 1)] = f.mats[n - 1].data
-        if 2 <= n <= X.top + 1:
-            nonzero[(1, 1)] = enc_neg(X.diffs[n - 2].data, ring.p, ring.flavor_code)
-        rows, cols = [Y.rank(n - 1), X.rank(n - 2)], [Y.rank(n), X.rank(n - 1)]
-        diffs.append(linalg.from_blocks(ring, rows, cols, nonzero))
-    return _inherit_verdict(make_complex(ring, ranks, diffs, check=False), X, Y)
+    return _cone(f).total
 
 
 def cone_inclusion(f: ChainMap) -> ChainMap:
     """The canonical map Y -> C(f); its cokernel is shift(X, 1) on the nose."""
-    X, Y = f.source, f.target
-    C = cone(f)
-    mats = []
-    for n in range(max(len(Y.ranks), len(C.ranks))):
-        rows = [Y.rank(n), X.rank(n - 1)]
-        mats.append(linalg.from_blocks(Y.ring, rows, [Y.rank(n)], {(0, 0): _eye(Y.rank(n))}))
-    return ChainMap(Y, C, tuple(mats))
+    return _cone(f).inclusion
 
 
 # ---------------------------------------------------------------------------

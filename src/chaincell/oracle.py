@@ -19,6 +19,9 @@ the candidate stacks themselves stays bounded.
 
 Refusals are predictable: the guard is compared against the worst-case
 unpruned candidate count, not against what the pruning actually visits.
+
+``random_extension`` samples connecting blocks through ``ops.extension``,
+the one builder of extensions and cones.
 """
 
 from __future__ import annotations
@@ -36,17 +39,17 @@ from .complexes import (
     ModuleDescriptor,
     _all_vectors,
     _boundaries,
+    _check_cells,
     _codes,
     _keys,
     brute_homology,
-    make_complex,
     module_from_sizes,
     require_valid,
 )
-from .errors import ChaincellError, DomainError, GuardExceeded, InvalidComplexError, UsageError
+from .errors import ChaincellError, DomainError, GuardExceeded, UsageError
 from .lattice import _cellular_verdict, _min_pair
-from .linalg import MatrixR, from_blocks
-from .ops import ChainMap, desuspend
+from .linalg import MatrixR
+from .ops import ChainMap, Extension, _extension_cells, desuspend, extension
 from .reduce import minimize
 from .ring import check_same_ring
 
@@ -360,76 +363,20 @@ def cross_check(X: ChainComplex, A: ChainComplex, guard: SizeGuard = SizeGuard()
 # extensions
 
 
-@dataclass
-class Extension:
-    total: ChainComplex  # the middle term Y
-    inclusion: ChainMap  # X -> Y
-    projection: ChainMap  # Y -> Z
-    seed: Optional[int]
-
-
-def extension(X: ChainComplex, Z: ChainComplex, hs: dict, seed=None) -> Extension:
-    """Assemble Y with Y_n = X_n (+) Z_n and differential [[d_X, h], [0, d_Z]].
-
-    hs maps degree n to the connecting block Z_n -> X_{n-1} (an encoded
-    array or MatrixR); blocks must satisfy d_X @ h + h @ d_Z = 0, which
-    on valid X and Z is exactly d*d = 0 on Y, checked as Y is built.
-    """
-    if X.ring != Z.ring:
-        raise UsageError("ring mismatch in extension")
-    require_valid(X)
-    require_valid(Z)
-    hs = {
-        n: (m.data if isinstance(m, MatrixR) else np.asarray(m, dtype=np.int64))
-        for n, m in hs.items()
-    }
-    for n, m in hs.items():
-        if m.shape != (X.rank(n - 1), Z.rank(n)):
-            raise UsageError(
-                f"connecting block at degree {n} has shape {m.shape}, "
-                f"expected {(X.rank(n - 1), Z.rank(n))}"
-            )
-    ring = X.ring
-    n_degrees = max(len(X.ranks), len(Z.ranks))
-    sizes = [[X.rank(n), Z.rank(n)] for n in range(n_degrees)]
-    diffs = []
-    for n in range(1, n_degrees):
-        blocks = {(0, 0): X.d(n).data, (1, 1): Z.d(n).data}
-        if n in hs:
-            blocks[(0, 1)] = hs[n]
-        diffs.append(from_blocks(ring, sizes[n - 1], sizes[n], blocks))
-    try:
-        Y = make_complex(ring, [sum(s) for s in sizes], diffs, check=True)
-    except InvalidComplexError:
-        raise UsageError("connecting blocks do not satisfy d*h + h*d = 0") from None
-
-    incl_mats, proj_mats = [], []
-    for n in range(n_degrees):
-        eye_x, eye_z = np.eye(X.rank(n), dtype=np.int64), np.eye(Z.rank(n), dtype=np.int64)
-        incl_mats.append(from_blocks(ring, sizes[n], [X.rank(n)], {(0, 0): eye_x}))
-        proj_mats.append(from_blocks(ring, [Z.rank(n)], sizes[n], {(0, 1): eye_z}))
-    return Extension(
-        Y,
-        ChainMap(X, Y, tuple(incl_mats)),
-        ChainMap(Y, Z, tuple(proj_mats)),
-        seed,
-    )
-
-
 def random_extension(X: ChainComplex, Z: ChainComplex, seed: int, attempts: int = 64) -> Extension:
     """Extension of Z by X with a randomly sampled connecting block.
 
     Rejection-samples uniform blocks through ``extension`` within the
     attempt budget; the zero block always works on valid inputs, so the
-    fallback keeps this total, and raises what invalid inputs fail.
+    fallback keeps this total, and raises what invalid inputs fail.  The
+    blocks it would draw count toward the cell cap with what
+    ``extension`` writes, before the first draw.
     """
+    degrees = [n for n in range(1, Z.top + 1) if Z.rank(n) and X.rank(n - 1)]
+    drawn = sum(X.rank(n - 1) * Z.rank(n) for n in degrees)
+    _check_cells(extra=_extension_cells(X, Z) + drawn)
     rng = np.random.default_rng(seed)
     size = X.ring.size
-    degrees = [
-        n
-        for n in range(1, Z.top + 1)
-        if Z.rank(n) and X.rank(n - 1)
-    ]
     for _ in range(attempts):
         hs = {
             n: rng.integers(0, size, size=(X.rank(n - 1), Z.rank(n)), dtype=np.int64)

@@ -188,7 +188,7 @@ def test_cli_validate_diagnoses_every_invalid_complex(tmp_path, capsys, name):
     assert cli.run(["validate", _write(tmp_path, "bad.json", INVALID[name])]) == 3
     captured = capsys.readouterr()
     assert json.loads(captured.out) == {"ok": False, "diagnostic": DIAGNOSTIC[name]}
-    assert captured.err == f"invalid complex: {DIAGNOSTIC[name]}\n"
+    assert captured.err == f"invalid input: {DIAGNOSTIC[name]}\n"
 
 
 @pytest.mark.parametrize(
@@ -210,7 +210,7 @@ def test_cli_validate_reports_parser_refusals(tmp_path, capsys, text, diagnostic
     captured = capsys.readouterr()
     out = json.loads(captured.out)
     assert out["ok"] is False and diagnostic in out["diagnostic"]
-    assert captured.err == f"invalid complex: {out['diagnostic']}\n"
+    assert captured.err == f"invalid input: {out['diagnostic']}\n"
 
 
 # one call of every subcommand, on valid inputs
@@ -576,15 +576,41 @@ def test_cli_rand_refuses_ranks_above_the_cell_cap(monkeypatch, capsys, units, o
     assert "6 differential cells exceed the cap of 5" in captured.err
 
 
+@pytest.mark.parametrize("command", ["sum", "cone", "extension"])
+def test_cli_refuses_sum_cone_and_extension_above_the_cell_cap(
+    command, files, tmp_path, monkeypatch, capsys
+):
+    # refused from the ranks, before any block, identity or draw is made
+    from chaincell import complexes, ops
+
+    argv = {
+        "sum": ["sum", files["E01"], files["E02"]],
+        "cone": ["cone", _write(tmp_path, "map.json",
+                                serialize.chain_map_to_dict(identity_map(interval(Z4, 0, 1))))],
+        "extension": ["extension", files["E01"], files["S1"]],
+    }[command]
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("an output above the cell cap was built or drawn")
+
+    monkeypatch.setattr(complexes, "MAX_CELLS", 1)
+    for module, name in ((linalg, "from_blocks"), (ops, "_eye"), (np.random, "default_rng")):
+        monkeypatch.setattr(module, name, no_build)
+    assert cli.run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "differential cells exceed the cap of 1" in captured.err
+
+
 def test_cell_cap_boundary(monkeypatch):
     # the cap counts the cells the built differentials hold: at that count
     # the output is built, one cell fewer is refused
     from chaincell import complexes
     from chaincell.errors import GuardExceeded
-    from chaincell.ops import hom_complex, tensor
+    from chaincell.ops import direct_sum, hom_complex, tensor
 
     X, Y = interval(Z4, 0, 1), interval(Z4, 0, 2)
     builds = {
+        "sum": (lambda: direct_sum(Y, X), lambda S: [S]),
         "tensor": (lambda: tensor(Y, X), lambda T: [T]),
         "hom": (lambda: hom_complex(X, Y), lambda h: [h.positive]),
         "hom from degree 0": (lambda: hom_complex(sphere(Z4, 0), Y), lambda h: [h.positive, h.full]),

@@ -24,7 +24,7 @@ from chaincell import (
     validate,
 )
 from chaincell.complexes import module_from_sizes
-from chaincell.errors import DomainError, GuardExceeded, InvalidComplexError, UsageError
+from chaincell.errors import DomainError, GuardExceeded, InvalidComplexError
 from chaincell.ops import (
     cone,
     desuspend,
@@ -196,7 +196,7 @@ def test_brute_homology_guard_refusal():
 def test_invalid_input_rejected_by_homology():
     one = linalg.identity(Z4, 1)
     bad = ChainComplex(Z4, (1, 1, 1), (one, one))
-    with pytest.raises(UsageError):
+    with pytest.raises(InvalidComplexError):
         homology(bad)
 
 
@@ -271,11 +271,16 @@ def test_complexes_built_from_valid_ones_are_not_validated_again(monkeypatch, rn
     h = hom_complex(sphere(Z4, 0), X)  # a source in degree 0: the full complex too
     derived = [
         X, Y, direct_sum_all(Z4, [X, Y]), shift(X, 2), desuspend(shift(X, 1), 1), tensor(X, Y),
-        cone(identity_map(X)), conjugated(Y, rng), reduce.minimize(Y).minimal, h.positive, h.full,
+        conjugated(Y, rng), reduce.minimize(Y).minimal, h.positive, h.full,
     ]
     for Z in derived:
         reduce.homology(Z)
     assert calls == []
+    # a cone is validated exactly once, as its d*d check is the chain map check
+    C = cone(identity_map(X))
+    reduce.homology(C)
+    assert len(calls) == 1 and calls[0] is C
+    calls.clear()
     # one input of unknown verdict leaves what is built from it unknown
     Z = direct_sum_all(Z4, [X, make_complex(Z4, [1], [], check=False)])
     reduce.homology(Z)
@@ -310,7 +315,8 @@ def _public_entries():
         "exists_h0_epi": lambda X, Y: oracle.exists_h0_epi(X, Y, guard),
         "cross_check": lambda X, Y: oracle.cross_check(X, Y, guard),
         "hom_complex": lambda X, Y: ops.hom_complex(X, Y, guard),
-        "extension": lambda X, Y: oracle.extension(X, Y, {}),
+        "extension": lambda X, Y: ops.extension(X, Y, {}),
+        "cone": lambda X, Y: ops.cone(ops.zero_map(X, Y)),
     }
     # the valid partner is contractible, so a verdict that reads only
     # its side would return early
@@ -335,5 +341,5 @@ def test_every_public_entry_refuses_an_invalid_complex(name, build):
         "shift": lambda: shift(bad, 1),
         "tensor": lambda: tensor(valid, bad),
     }[build]()
-    with pytest.raises(UsageError, match="invalid complex"):
+    with pytest.raises(InvalidComplexError, match=r"^degree \d+: d\d+\*d\d+ != 0$"):
         ENTRIES[name](Z)

@@ -3,7 +3,7 @@ import pytest
 
 from chaincell import disk, empty, homology, interval, linalg, make_complex, sphere, validate
 from chaincell import complexes, ops, oracle
-from chaincell.errors import GuardExceeded, UsageError
+from chaincell.errors import GuardExceeded, InvalidComplexError, UsageError
 from chaincell.ops import (
     ChainMap,
     compose,
@@ -115,6 +115,54 @@ def test_cone_rejects_non_chain_map():
     assert is_chain_map(f) is not None
     with pytest.raises(UsageError):
         cone(f)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_cone_of_a_non_chain_map_names_the_degree(k):
+    # f_0 = 1 from interval(0, 1) to a sphere breaks d*f = f*d in degree 1,
+    # and shifted up by k in degree k + 1; the cone's d*d check says where
+    X, Y = shift(interval(Z4, 0, 1), k), shift(interval(Z4, 0, 0), k)
+    mats = [linalg.zeros(Z4, Y.rank(n), X.rank(n)) for n in range(k + 2)]
+    mats[k] = linalg.identity(Z4, 1)
+    f = ChainMap(X, Y, tuple(mats))
+    assert is_chain_map(f) == f"degree {k + 1}: d_target*f_{k + 1} != f_{k}*d_source"
+    with pytest.raises(UsageError, match=rf"degree {k + 1}: d{k + 1}\*d{k + 2} != 0$"):
+        cone(f)
+
+
+@pytest.mark.parametrize("end", ["source", "target"])
+def test_cone_names_the_degree_of_an_invalid_end(end):
+    unit = linalg.identity(Z4, 1)
+    bad, valid = make_complex(Z4, [1, 1, 1], [unit, unit], check=False), interval(Z4, 0, 0)
+    f = zero_map(bad, valid) if end == "source" else zero_map(valid, bad)
+    with pytest.raises(InvalidComplexError, match=r"^degree 1: d1\*d2 != 0$"):
+        cone(f)
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("an output above the cell cap was built")
+
+
+def test_extension_counts_every_cell_it_writes(monkeypatch):
+    # Y's d_1 (1 cell), and in each degree the inclusion and the projection
+    # (1 cell each) with the identity block each copies (1 cell each)
+    X, Z, h = sphere(Z4, 0), sphere(Z4, 1), {1: np.array([[Z4.p]])}
+    monkeypatch.setattr(complexes, "MAX_CELLS", 5)
+    assert ops.extension(X, Z, h).total == interval(Z4, 0, 1)
+    monkeypatch.setattr(complexes, "MAX_CELLS", 4)
+    for module, name in ((linalg, "from_blocks"), (ops, "_eye")):
+        monkeypatch.setattr(module, name, _no_build)
+    with pytest.raises(GuardExceeded, match="5 differential cells exceed the cap of 4"):
+        ops.extension(X, Z, h)
+
+
+def test_cone_inclusion_refuses_above_the_cell_cap(monkeypatch):
+    f = identity_map(interval(Z4, 0, 1))
+    monkeypatch.setattr(complexes, "MAX_CELLS", 1)
+    for module, name in ((linalg, "from_blocks"), (ops, "_eye")):
+        monkeypatch.setattr(module, name, _no_build)
+    with pytest.raises(GuardExceeded, match="differential cells exceed the cap of 1"):
+        cone_inclusion(f)
 
 
 def _small_random_pairs_with_maps(ring, rng, count):

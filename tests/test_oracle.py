@@ -19,7 +19,7 @@ from chaincell._kernels import enc_add, mat_mul
 from chaincell.complexes import module_from_sizes
 from chaincell.errors import DomainError, GuardExceeded, UsageError
 from chaincell.lattice import is_acyclic_over, is_cellular
-from chaincell.ops import direct_sum, direct_sum_all, hom_complex, is_chain_map, shift
+from chaincell.ops import direct_sum, direct_sum_all, extension, hom_complex, is_chain_map, shift
 from chaincell.oracle import (
     SizeGuard,
     chain_map_module,
@@ -217,6 +217,24 @@ def test_extension_rejects_bad_connecting_block(ring):
 def test_extension_zero_blocks_give_direct_sum(ring):
     X, Z = interval(ring, 0, 1), interval(ring, 1, 1)
     assert extension(X, Z, {}).total == direct_sum(X, Z)
+
+
+def test_random_extension_counts_its_draws_before_drawing(monkeypatch):
+    # X = [3] and Z = [0, 3]: extension writes 45 cells (Y's d_1 is 3x3;
+    # the inclusion and projection are 3x3 in one degree each, and copy a
+    # 3x3 identity each), and the connecting block draws 9 more
+    X = make_complex(Z4, [3], [])
+    Z = make_complex(Z4, [0, 3], [linalg.zeros(Z4, 0, 3)])
+    monkeypatch.setattr(complexes, "MAX_CELLS", 54)
+    assert random_extension(X, Z, seed=0).total.ranks == (3, 3)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a connecting block was drawn above the cell cap")
+
+    monkeypatch.setattr(complexes, "MAX_CELLS", 53)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(GuardExceeded, match="54 differential cells exceed the cap of 53"):
+        random_extension(X, Z, seed=0)
 
 
 def test_random_extension_always_valid(ring, rng):
