@@ -33,7 +33,7 @@ int64 bound: a matrix product sums n products of values < p**2, so
 p**4 * n must stay below 2**63 for the inner dimension n, in both
 flavours.  ``RingSpec`` refuses p > ``MAX_P`` = 251, which keeps
 p**4 * n < 2**63 for every n < 2**31 and p**2 < 2**16 for the uint16
-row keys of ``complexes._keys``.
+row keys of ``oracle._keys``.
 float64 bound: ``matmul_exact`` multiplies in float64 BLAS only while
 n*(p**2 - 1)**2 < 2**53, so every partial sum is an integer float64
 holds exactly, and n >= ``FLOAT64_MIN_INNER``; otherwise in int64.

@@ -146,9 +146,7 @@ def _check_cells(*rank_lists, extra: int = 0):
     they are built."""
     cells = extra + sum(a * b for ranks in rank_lists for a, b in pairwise(ranks))
     if cells > MAX_CELLS:
-        raise GuardExceeded(
-            f"{cells} differential cells exceed the cap of {MAX_CELLS}", required=cells
-        )
+        raise GuardExceeded(f"{cells} cells exceed the cap of {MAX_CELLS}", required=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +297,6 @@ def _boundaries(X: ChainComplex, n: int) -> np.ndarray:
     table = np.zeros(ring.size ** X.rank(n), dtype=bool)
     table[_codes(ring, imgs[:, :, 0])] = True
     return table
-
-
-def _keys(arr: np.ndarray):
-    """Hashable row keys for a 2-d array of encoded entries.
-
-    For the chain-map and Hom_1 enumerations, whose rows (stacked matrix
-    blocks) can be wider than any guard bounds, so a code could overflow.
-    """
-    if arr.shape[1] == 0:
-        return [b""] * arr.shape[0]
-    u = np.ascontiguousarray(arr, dtype=np.uint16)
-    buf = u.tobytes()
-    step = u.dtype.itemsize * u.shape[1]
-    return [buf[i : i + step] for i in range(0, len(buf), step)]
 
 
 def _brute_work(X: ChainComplex) -> int:

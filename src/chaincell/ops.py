@@ -361,27 +361,28 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
     require_valid(Y)
     top = Y.top  # Hom_n vanishes once i + n > Y.top for all i
     pos_ranks = [0] + [_hom_rank(X, Y, n) for n in range(1, max(top + 1, 1))]
-    full_ranks = [X.rank(0) * r for r in Y.ranks] if X.top <= 0 else []
+    full_ranks = [_hom_rank(X, Y, 0)] + pos_ranks[1:] if X.top <= 0 else []
     _check_cells(pos_ranks, full_ranks)
     from . import oracle as _oracle
 
     # both guards come before either count, so a refused pair enumerates
-    # and builds nothing
+    # and builds nothing; the image count goes first, as the shift of X
+    # it searches from may meet the degree cap
     guard = guard if guard is not None else _oracle.SizeGuard()
     guard.check("chain map enumeration", _oracle._map_candidates(X, Y))
     guard.check("hom degree-1 enumeration", _oracle._hom1_candidates(X, Y))
-    degree0 = _oracle.chain_map_module(X, Y, guard)
     d1_image_size = _oracle.hom_boundary_image_size(X, Y, guard)
+    degree0 = _oracle.chain_map_module(X, Y, guard)
 
+    # Hom_n -> Hom_(n-1) for n >= 2; the positive part has Hom_0 = 0, and
+    # from a source in degree 0 the full complex adds d_1 = _hom_diff(X, Y, 1)
     ring = X.ring
-    pos_diffs = [linalg.zeros(ring, pos_ranks[0], pos_ranks[1])] if len(pos_ranks) > 1 else []
-    for n in range(2, len(pos_ranks)):
-        pos_diffs.append(_hom_diff(X, Y, n))
-    positive = _inherit_verdict(make_complex(ring, pos_ranks, pos_diffs, check=False), X, Y)
+    diffs = [_hom_diff(X, Y, n) for n in range(2, len(pos_ranks))]
+    d1 = [linalg.zeros(ring, 0, pos_ranks[1])] if len(pos_ranks) > 1 else []
+    positive = _inherit_verdict(make_complex(ring, pos_ranks, d1 + diffs, check=False), X, Y)
 
     full = None
     if X.top <= 0:
-        a = X.rank(0)
-        full_diffs = [MatrixR(ring, _kron_id(ring, d.data, _eye(a))) for d in Y.diffs]
+        full_diffs = [_hom_diff(X, Y, 1)] + diffs
         full = _inherit_verdict(make_complex(ring, full_ranks, full_diffs, check=False), X, Y)
     return HomComplex(X, Y, degree0, positive, d1_image_size, full)

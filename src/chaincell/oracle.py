@@ -9,13 +9,17 @@ maps onto H_0 of X; a map from a sum restricts to maps from each
 summand, so the images of single maps already generate everything any
 sum can hit).
 
-Every element is still visited, but in numpy batches rather than one
-Python call per vector: a vector of Y_0 is named by its integer code
-(``complexes._codes``, its row index in ``_all_vectors``), the H0-epi
-search applies at most ``_F0_CHUNK`` degree-0 components to all cycles
-at once, and the Hom_1 walk takes chunks of flat indices into the
-Cartesian product of the blocks.  A chunk holds about ``_CHUNK_CELLS`` entries, so memory beyond
-the candidate stacks themselves stays bounded.
+The chain-map search keeps one candidate stack per degree and costs
+the sum of their sizes, not their product.  It also sizes the image of
+Hom_1 -> Hom_0: the degree-1 families with zero boundary are exactly
+the chain maps shift(X, 1) -> Y, so counting them gives |im d_1|.
+
+The H0-epi search works in numpy batches rather than one Python call
+per vector: a vector of Y_0 is named by its integer code
+(``complexes._codes``, its row index in ``_all_vectors``), and at most
+``_F0_CHUNK`` degree-0 components are applied to all cycles at once, a
+chunk of about ``_CHUNK_CELLS`` entries, so memory beyond the candidate
+stacks themselves stays bounded.
 
 Refusals are predictable: the guard is compared against the worst-case
 unpruned candidate count, not against what the pruning actually visits.
@@ -26,7 +30,6 @@ the one builder of extensions and cones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,7 +44,6 @@ from .complexes import (
     _boundaries,
     _check_cells,
     _codes,
-    _keys,
     brute_homology,
     module_from_sizes,
     require_valid,
@@ -49,12 +51,12 @@ from .complexes import (
 from .errors import ChaincellError, DomainError, GuardExceeded, UsageError
 from .lattice import _cellular_verdict, _min_pair
 from .linalg import MatrixR
-from .ops import ChainMap, Extension, _extension_cells, desuspend, extension
+from .ops import ChainMap, Extension, _extension_cells, desuspend, extension, shift
 from .reduce import minimize
 from .ring import check_same_ring
 
 
-# Chunked enumerations hold at most about this many entries per chunk.
+# exists_h0_epi's chunks hold at most about this many entries.
 _CHUNK_CELLS = 1 << 16
 # exists_h0_epi takes at most this many f_0 candidates per chunk.
 _F0_CHUNK = 64
@@ -93,6 +95,21 @@ def _candidate_matrices(ring, rows: int, cols: int) -> np.ndarray:
     """Every matrix of the given shape, shape (|R|^(rows*cols), rows, cols)."""
     vecs = _all_vectors(ring, rows * cols)
     return vecs.reshape(len(vecs), rows, cols)
+
+
+def _keys(arr: np.ndarray):
+    """Hashable row keys for a 2-d array of encoded entries.
+
+    For the chain-map search, whose rows (flattened products of a
+    candidate block with a differential) can be wider than any guard
+    bounds, so a code (``complexes._codes``) could overflow.
+    """
+    if arr.shape[1] == 0:
+        return [b""] * arr.shape[0]
+    u = np.ascontiguousarray(arr, dtype=np.uint16)
+    buf = u.tobytes()
+    step = u.dtype.itemsize * u.shape[1]
+    return [buf[i : i + step] for i in range(0, len(buf), step)]
 
 
 class _MapSearch:
@@ -200,39 +217,20 @@ def hom_boundary_image_size(X: ChainComplex, Y: ChainComplex, guard: SizeGuard =
 
     A degree-1 element is a family g_i: X_i -> Y_{i+1}; its boundary is
     the chain map with components Y.d(i+1) @ g_i + g_{i-1} @ X.d(i).
-    Both products are taken once per candidate block; the families are
-    then walked in chunks of flat indices into their Cartesian product.
+    That boundary vanishes exactly when g is a chain map shift(X, 1) -> Y,
+    so |im d_1| = |Hom_1| / #(chain maps shift(X, 1) -> Y), one count of
+    the chain-map search.
     """
+    check_same_ring(X, Y)
     require_valid(X)
     require_valid(Y)
-    ring = X.ring
-    blocks = range(X.top + 1)
-    guard.check("hom degree-1 enumeration", _hom1_candidates(X, Y))
-    cands = [_candidate_matrices(ring, Y.rank(i + 1), X.rank(i)) for i in blocks]
-    p, fl = ring.p, ring.flavor_code
-    d_after = [_kernels.mat_mul(Y.d(i + 1).data, cands[i], p, fl) for i in blocks]
-    d_before = [None] + [
-        _kernels.mat_mul(cands[i - 1], X.d(i).data, p, fl) for i in blocks[1:]
-    ]
-    total = math.prod(len(c) for c in cands)
-    width = sum(Y.rank(i) * X.rank(i) for i in blocks)  # entries of one boundary
-    step = max(1, _CHUNK_CELLS // max(width, 1))
-
-    seen = set()
-    for lo in range(0, total, step):
-        flat = np.arange(lo, min(lo + step, total), dtype=np.int64)
-        choice = []  # mixed-radix digits of the flat index, block 0 fastest
-        for c in cands:
-            choice.append(flat % len(c))
-            flat = flat // len(c)
-        parts = [np.zeros((len(flat), 0), np.int64)]  # X may be empty
-        for i in blocks:
-            phi = d_after[i][choice[i]]
-            if i >= 1:
-                phi = enc_add(phi, d_before[i][choice[i - 1]], p, fl)
-            parts.append(phi.reshape(len(phi), -1))
-        seen.update(_keys(np.concatenate(parts, axis=1)))
-    return len(seen)
+    candidates = _hom1_candidates(X, Y)  # = |Hom_1|
+    guard.check("hom degree-1 enumeration", candidates)
+    cycles = _MapSearch(shift(X, 1), Y, guard).counts()
+    size, rest = divmod(candidates, cycles)
+    if rest:
+        raise ChaincellError(f"{cycles} degree-1 cycles do not divide |Hom_1| = {candidates}")
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +248,7 @@ def exists_h0_epi(A: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard
     Requires H_0(A) != 0 (the surjectivity criterion's hypothesis);
     desuspend the pair first when the bottom degree is positive.
     """
+    check_same_ring(A, Y)
     bottom = minimize(A).bottom  # minimize validates A
     require_valid(Y)
     if bottom != 0:  # nothing lies below it, so H_0(A) != 0 exactly when it is 0

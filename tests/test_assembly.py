@@ -236,11 +236,14 @@ def test_hom_positive_matches_grid_assembly(ring, rng):
 
 
 def test_hom_full_matches_kron_with_identity(ring, rng):
+    # from a source in degree 0 the full complex takes d_1 = _hom_diff(X, Y, 1)
+    # and the positive part's d_2, d_3, ...: byte for byte kron(d_Y, 1_a)
     cs = [c for c in _complexes(ring, rng) if c.total_rank <= 3]
     sources = [c for c in cs if c.top <= 0] + [sphere(ring, 0), empty(ring)]
-    sources.append(make_complex(ring, [2], []))
+    sources += [make_complex(ring, [a], []) for a in (2, 3)]
+    wide = 0  # pairs checked with rank X_0 >= 2 and a nonzero d_Y
     for X in sources:
-        for Y in cs:
+        for Y in cs + [interval(ring, 0, 1), interval(ring, 0, 2)]:
             try:
                 h = hom_complex(X, Y, SizeGuard(1 << 14))
             except GuardExceeded:
@@ -253,6 +256,8 @@ def test_hom_full_matches_kron_with_identity(ring, rng):
                 check=False,
             )
             _assert_same_bytes(h.full, want)
+            wide += a >= 2 and any(d.data.any() for d in Y.diffs)
+    assert wide
 
 
 def test_cone_matches_grid_assembly(ring, rng):

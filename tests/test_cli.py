@@ -522,6 +522,33 @@ def test_degree_cap_boundary(monkeypatch, rng):
         randgen.random_complex(Z4, rng, max_degree=4)
 
 
+def test_hom_from_a_source_at_the_degree_cap_is_refused_before_enumerating(
+    tmp_path, monkeypatch, capsys
+):
+    # |im d_1| is counted from shift(X, 1), one degree longer than X: a source
+    # of exactly MAX_DEGREES degrees is refused with exit 4, before either
+    # hom enumeration builds a candidate; one degree shorter, it is answered
+    from chaincell import complexes, oracle
+    from chaincell.errors import GuardExceeded
+
+    monkeypatch.setattr(complexes, "MAX_DEGREES", 4)
+    y = _write(tmp_path, "Y.json", serialize.complex_to_dict(interval(Z4, 0, 1)))
+    below = _write(tmp_path, "below.json", serialize.complex_to_dict(sphere(Z4, 2)))
+    at_cap = _write(tmp_path, "at_cap.json", serialize.complex_to_dict(sphere(Z4, 3)))
+    assert cli.run(["hom", below, y]) == 0
+    capsys.readouterr()
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a hom enumeration ran for a source at the degree cap")
+
+    monkeypatch.setattr(oracle, "_candidate_matrices", no_enumeration)
+    with pytest.raises(GuardExceeded, match="5 degrees exceed the cap of 4"):
+        oracle.hom_boundary_image_size(sphere(Z4, 3), interval(Z4, 0, 1))
+    assert cli.run(["hom", at_cap, y]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "5 degrees exceed the cap of 4" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # the cell cap of tensor and hom
 
@@ -542,7 +569,7 @@ def test_cli_refuses_tensor_and_hom_above_the_cell_cap(files, tmp_path, monkeypa
                  ["hom", s0, files["E02"]]):
         assert cli.run(argv) == 4, argv
         captured = capsys.readouterr()
-        assert captured.out == "" and "differential cells exceed the cap of 1" in captured.err, argv
+        assert captured.out == "" and "cells exceed the cap of 1" in captured.err, argv
 
 
 @pytest.mark.parametrize(
@@ -573,7 +600,7 @@ def test_cli_rand_refuses_ranks_above_the_cell_cap(monkeypatch, capsys, units, o
     assert cli.run(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "6 differential cells exceed the cap of 5" in captured.err
+    assert "6 cells exceed the cap of 5" in captured.err
 
 
 @pytest.mark.parametrize("command", ["sum", "cone", "extension"])
@@ -598,7 +625,7 @@ def test_cli_refuses_sum_cone_and_extension_above_the_cell_cap(
         monkeypatch.setattr(module, name, no_build)
     assert cli.run(argv) == 4
     captured = capsys.readouterr()
-    assert captured.out == "" and "differential cells exceed the cap of 1" in captured.err
+    assert captured.out == "" and "cells exceed the cap of 1" in captured.err
 
 
 def test_cell_cap_boundary(monkeypatch):
@@ -623,5 +650,5 @@ def test_cell_cap_boundary(monkeypatch):
         monkeypatch.setattr(complexes, "MAX_CELLS", cells)
         build()
         monkeypatch.setattr(complexes, "MAX_CELLS", cells - 1)
-        with pytest.raises(GuardExceeded, match=f"{cells} differential cells exceed the cap of {cells - 1}"):
+        with pytest.raises(GuardExceeded, match=f"{cells} cells exceed the cap of {cells - 1}"):
             build()

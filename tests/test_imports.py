@@ -1,5 +1,5 @@
-"""Every import in the package sits at module level, and no module-level
-helper is dead.
+"""Every import in the package sits at module level and is read there,
+and no module-level helper is dead.
 
 An import inside a function body hides a dependency cycle between
 modules.  The one left, ``ops.hom_complex`` reaching the enumeration
@@ -32,6 +32,27 @@ def test_no_function_level_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         found.update((path.stem, func.name, name) for name in _imported(node))
     assert found <= ALLOWED, sorted(found - ALLOWED)
+
+
+def test_no_unused_imports():
+    # every name a module-level import binds is read in its own module; the
+    # package __init__ re-exports, and a __future__ import acts by being there
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.stem}.{name}")
+    assert not unused, unused
 
 
 def _defined(stmt):

@@ -152,7 +152,7 @@ def test_extension_counts_every_cell_it_writes(monkeypatch):
     monkeypatch.setattr(complexes, "MAX_CELLS", 4)
     for module, name in ((linalg, "from_blocks"), (ops, "_eye")):
         monkeypatch.setattr(module, name, _no_build)
-    with pytest.raises(GuardExceeded, match="5 differential cells exceed the cap of 4"):
+    with pytest.raises(GuardExceeded, match="5 cells exceed the cap of 4"):
         ops.extension(X, Z, h)
 
 
@@ -161,7 +161,7 @@ def test_cone_inclusion_refuses_above_the_cell_cap(monkeypatch):
     monkeypatch.setattr(complexes, "MAX_CELLS", 1)
     for module, name in ((linalg, "from_blocks"), (ops, "_eye")):
         monkeypatch.setattr(module, name, _no_build)
-    with pytest.raises(GuardExceeded, match="differential cells exceed the cap of 1"):
+    with pytest.raises(GuardExceeded, match="cells exceed the cap of 1"):
         cone_inclusion(f)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -200,6 +201,28 @@ def test_oracle_item_sequence_validates_each_input_once(p2_ring, rng, monkeypatc
     assert len(calls) == 2 and calls[0] is X and calls[1] is A
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [cross_check, exists_h0_epi, chain_map_module, hom_boundary_image_size, enumerate_chain_maps],
+    ids=lambda entry: entry.__name__,
+)
+def test_oracle_entries_refuse_a_ring_mismatch(monkeypatch, entry):
+    # the rings are compared before any guard, table or minimal model
+    class NoGuard(SizeGuard):
+        def check(self, what, required):
+            raise AssertionError(f"{what} was guarded before the ring check")
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built before the ring check")
+
+    for name in ("_all_vectors", "_boundaries", "_candidate_matrices", "minimize"):
+        monkeypatch.setattr(oracle, name, no_table)
+    A, Y = interval(Z4, 0, 1), interval(RingSpec("dual", 3), 1, 1)
+    for pair in ((A, Y), (Y, A)):
+        with pytest.raises(UsageError, match="ring mismatch"):
+            entry(*pair, NoGuard())
+
+
 def test_extension_of_spheres_gives_interval(ring):
     h = np.array([[ring.p]], dtype=np.int64)  # encoded r
     ext = extension(sphere(ring, 0), sphere(ring, 1), {1: h})
@@ -233,7 +256,7 @@ def test_random_extension_counts_its_draws_before_drawing(monkeypatch):
 
     monkeypatch.setattr(complexes, "MAX_CELLS", 53)
     monkeypatch.setattr(np.random, "default_rng", no_draw)
-    with pytest.raises(GuardExceeded, match="54 differential cells exceed the cap of 53"):
+    with pytest.raises(GuardExceeded, match="54 cells exceed the cap of 53"):
         random_extension(X, Z, seed=0)
 
 
@@ -367,7 +390,8 @@ def _hom1_exponent(X, Y):
 
 @pytest.fixture(params=["default", "tiny"])
 def chunks(request, monkeypatch):
-    """Default chunk sizes, or tiny ones that force many ragged chunks."""
+    """Default chunk sizes for exists_h0_epi, or tiny ones that force many
+    ragged chunks."""
     if request.param == "tiny":
         monkeypatch.setattr(oracle, "_CHUNK_CELLS", 5)
         monkeypatch.setattr(oracle, "_F0_CHUNK", 3)
@@ -384,12 +408,12 @@ def _small_pairs(ring, rng, exponent, count, want=lambda X, Y: True):
     return pairs
 
 
-def test_chain_map_module_matches_naive(ring, rng, chunks):
+def test_chain_map_module_matches_naive(ring, rng):
     for X, Y in _small_pairs(ring, rng, _map_exponent, 6):
         assert chain_map_module(X, Y) == naive_chain_map_module(X, Y)
 
 
-def test_hom_boundary_image_size_matches_naive(ring, rng, chunks):
+def test_hom_boundary_image_size_matches_naive(ring, rng):
     for X, Y in _small_pairs(ring, rng, _hom1_exponent, 6):
         assert hom_boundary_image_size(X, Y) == naive_hom_image_size(X, Y)
     for X in (empty(ring), sphere(ring, 0)):
@@ -432,6 +456,40 @@ def test_exists_h0_epi_no_viable_f0(ring, monkeypatch):
     monkeypatch.setattr(oracle, "_MapSearch", NoMaps)
     A, Y = sphere(ring, 0), interval(ring, 0, 1)
     assert exists_h0_epi(A, Y) is naive_exists_h0_epi(A, Y, f0s=[]) is False
+
+
+def _bar_image_size(p, xs, ys):
+    """|im d_1| of Hom(X, Y) for X, Y sums of the intervals (a, j) in xs and
+    (b, k) in ys: over each pair of bars [a, A] and [b, B] that overlap in
+    L > 0 degrees, a factor p^L when a < b or A < B, else p^(L - 1)."""
+    size = 1
+    for (a, j), (b, k) in itertools.product(xs, ys):
+        A, B = a + j, b + k
+        L = min(A, B) - max(a, b) + 1
+        if L > 0:
+            size *= p ** (L if a < b or A < B else L - 1)
+    return size
+
+
+@pytest.mark.parametrize("ring", [Z4, RingSpec("dual", 3)], ids=str)
+def test_hom_boundary_image_size_matches_the_interval_pair_table(ring):
+    for a, j, b, k in itertools.product(range(4), repeat=4):
+        got = hom_boundary_image_size(interval(ring, a, j), interval(ring, b, k))
+        assert got == _bar_image_size(ring.p, [(a, j)], [(b, k)]), (a, j, b, k)
+
+
+def test_hom_boundary_image_size_reaches_past_the_product_of_its_blocks(rng):
+    # 4^18 families in Hom_1; the search costs the sum of its degrees'
+    # candidates, at most 4^6 here
+    xs, ys = [(0, 3), (0, 3), (1, 1)], [(0, 3), (1, 3)]
+    X = conjugated(direct_sum_all(Z4, [interval(Z4, *s) for s in xs]), rng)
+    Y = conjugated(direct_sum_all(Z4, [interval(Z4, *s) for s in ys]), rng)
+    candidates = oracle._hom1_candidates(X, Y)
+    assert candidates > 4**13
+    start = time.perf_counter()
+    got = hom_boundary_image_size(X, Y, SizeGuard(candidates))
+    assert time.perf_counter() - start < 1
+    assert got == _bar_image_size(Z4.p, xs, ys)
 
 
 def _refusal(fn, *args):
