@@ -36,6 +36,8 @@ MAX_DEGREES = 1 << 16
 # complexes build at most this many dense cells (512 MB as int64), counted
 # from the ranks before anything is built.
 MAX_CELLS = 1 << 26
+# A refused count above this is too large to build; its ``.required`` is None.
+EXACT_REQUIRED = 1 << 64
 
 _UNKNOWN = object()  # the verdict of a complex not validated yet
 
@@ -299,8 +301,29 @@ def _boundaries(X: ChainComplex, n: int) -> np.ndarray:
     return table
 
 
-def _brute_work(X: ChainComplex) -> int:
-    return sum(X.ring.size ** r for r in X.ranks)
+def _power_at_most(base: int, exponent: int, limit: int):
+    """base**exponent when it is at most limit, else None.
+
+    Decided by the exponent first: with base >= 2 the power passes limit
+    once exponent reaches limit's bit length, so no power far above
+    limit is ever built.
+    """
+    if exponent >= max(limit, 1).bit_length():
+        return None
+    power = base**exponent
+    return power if power <= limit else None
+
+
+def _brute_work(X: ChainComplex, limit: int):
+    """The vectors brute homology enumerates, the sum of |R|^rank over the
+    degrees, when it is at most limit, else None; builds no power above it."""
+    work = 0
+    for r in X.ranks:
+        term = _power_at_most(X.ring.size, r, limit)
+        if term is None:
+            return None
+        work += term
+    return work if work <= limit else None
 
 
 def brute_homology(X: ChainComplex, work_limit: int = BRUTE_WORK_LIMIT) -> list:
@@ -311,10 +334,11 @@ def brute_homology(X: ChainComplex, work_limit: int = BRUTE_WORK_LIMIT) -> list:
     Refuses when the enumeration would exceed work_limit vectors.
     """
     require_valid(X)
-    work = _brute_work(X)
-    if work > work_limit:
+    if _brute_work(X, work_limit) is None:
+        work = _brute_work(X, EXACT_REQUIRED)
+        text = work if work is not None else f"at least {X.ring.size}^{max(X.ranks)}"
         raise GuardExceeded(
-            f"brute homology needs {work} vector enumerations; limit {work_limit}",
+            f"brute homology needs {text} vector enumerations; limit {work_limit}",
             required=work,
         )
     ring = X.ring

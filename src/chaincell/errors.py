@@ -23,7 +23,10 @@ class InvalidComplexError(ChaincellError, ValueError):
 
 class GuardExceeded(ChaincellError, RuntimeError):
     """A brute-force enumeration, or a complex above the degree or cell cap,
-    was refused before any work; .required holds what it needed."""
+    was refused before any work; .required holds what it needed.  A
+    count above ``complexes.EXACT_REQUIRED`` (2**64) is never built:
+    .required is then None, and the message gives the count as a power
+    of |R|, such as ``4^7225``."""
 
     def __init__(self, message, required=None):
         super().__init__(message)

@@ -369,8 +369,8 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
     # and builds nothing; the image count goes first, as the shift of X
     # it searches from may meet the degree cap
     guard = guard if guard is not None else _oracle.SizeGuard()
-    guard.check("chain map enumeration", _oracle._map_candidates(X, Y))
-    guard.check("hom degree-1 enumeration", _oracle._hom1_candidates(X, Y))
+    guard.check("chain map enumeration", X.ring.size, _oracle._map_exponent(X, Y))
+    guard.check("hom degree-1 enumeration", X.ring.size, _oracle._hom1_exponent(X, Y))
     d1_image_size = _oracle.hom_boundary_image_size(X, Y, guard)
     degree0 = _oracle.chain_map_module(X, Y, guard)
 

@@ -23,6 +23,8 @@ stacks themselves stays bounded.
 
 Refusals are predictable: the guard is compared against the worst-case
 unpruned candidate count, not against what the pruning actually visits.
+Each such count is a power of |R|, compared by its exponent, so a count
+far above the guard is refused without being built.
 
 ``random_extension`` samples connecting blocks through ``ops.extension``,
 the one builder of extensions and cones.
@@ -38,12 +40,14 @@ import numpy as np
 from . import _kernels
 from ._kernels import enc_add
 from .complexes import (
+    EXACT_REQUIRED,
     ChainComplex,
     ModuleDescriptor,
     _all_vectors,
     _boundaries,
     _check_cells,
     _codes,
+    _power_at_most,
     brute_homology,
     module_from_sizes,
     require_valid,
@@ -64,31 +68,35 @@ _F0_CHUNK = 64
 
 @dataclass(frozen=True)
 class SizeGuard:
-    """Upper bound on brute-force candidate counts per enumeration."""
+    """Upper bound on brute-force candidate counts per enumeration.
+
+    Every count it guards is a power of |R|, decided by its exponent, so
+    no count above the guard is ever built; a refusal gives the count as
+    a power, such as ``4^7225``.
+    """
 
     max_search_space: int = 1 << 20
 
-    def refuse(self, what: str, required: int):
-        raise GuardExceeded(
-            f"{what} needs {required} candidates; guard allows "
-            f"{self.max_search_space} (raise the guard to proceed)",
-            required=required,
-        )
-
-    def check(self, what: str, required: int):
-        if required > self.max_search_space:
-            self.refuse(what, required)
+    def check(self, what: str, base: int, exponent: int):
+        """Refuse base**exponent candidates above the guard."""
+        if _power_at_most(base, exponent, self.max_search_space) is None:
+            raise GuardExceeded(
+                f"{what} needs {base}^{exponent} candidates; guard allows "
+                f"{self.max_search_space} (raise the guard to proceed)",
+                required=_power_at_most(base, exponent, EXACT_REQUIRED),
+            )
 
 
-def _map_candidates(X: ChainComplex, Y: ChainComplex) -> int:
-    """Worst-case chain map candidates X -> Y: every block in every degree."""
+def _map_exponent(X: ChainComplex, Y: ChainComplex) -> int:
+    """Worst-case chain map candidates X -> Y are |R| to this power: every
+    block in every degree."""
     levels = max(len(X.ranks), len(Y.ranks))
-    return X.ring.size ** sum(X.rank(n) * Y.rank(n) for n in range(levels))
+    return sum(X.rank(n) * Y.rank(n) for n in range(levels))
 
 
-def _hom1_candidates(X: ChainComplex, Y: ChainComplex) -> int:
-    """Worst-case Hom(X, Y)_1 candidates: every family g_i: X_i -> Y_(i+1)."""
-    return X.ring.size ** sum(X.rank(i) * Y.rank(i + 1) for i in range(X.top + 1))
+def _hom1_exponent(X: ChainComplex, Y: ChainComplex) -> int:
+    """|Hom(X, Y)_1| is |R| to this power: every family g_i: X_i -> Y_(i+1)."""
+    return sum(X.rank(i) * Y.rank(i + 1) for i in range(X.top + 1))
 
 
 def _candidate_matrices(ring, rows: int, cols: int) -> np.ndarray:
@@ -128,7 +136,7 @@ class _MapSearch:
         self.source, self.target = source, target
         self.ring = source.ring
         self.levels = max(len(source.ranks), len(target.ranks))
-        guard.check("chain map enumeration", _map_candidates(source, target))
+        guard.check("chain map enumeration", self.ring.size, _map_exponent(source, target))
 
         p, fl = self.ring.p, self.ring.flavor_code
         self.cand = [
@@ -224,8 +232,9 @@ def hom_boundary_image_size(X: ChainComplex, Y: ChainComplex, guard: SizeGuard =
     check_same_ring(X, Y)
     require_valid(X)
     require_valid(Y)
-    candidates = _hom1_candidates(X, Y)  # = |Hom_1|
-    guard.check("hom degree-1 enumeration", candidates)
+    exponent = _hom1_exponent(X, Y)
+    guard.check("hom degree-1 enumeration", X.ring.size, exponent)
+    candidates = X.ring.size**exponent  # = |Hom_1|, at most the guard
     cycles = _MapSearch(shift(X, 1), Y, guard).counts()
     size, rest = divmod(candidates, cycles)
     if rest:
@@ -257,14 +266,14 @@ def exists_h0_epi(A: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard
         )
     ring = Y.ring
     p, fl = ring.p, ring.flavor_code
-    guard.check("H0 coset table", ring.size ** Y.rank(0))
-    guard.check("H0 boundary enumeration", ring.size ** Y.rank(1))
+    guard.check("H0 coset table", ring.size, Y.rank(0))
+    guard.check("H0 boundary enumeration", ring.size, Y.rank(1))
     span = _boundaries(Y, 0)  # over the codes of Y_0; starts as im d_1
     if span.all():
         return True
 
     search = _MapSearch(A, Y, guard)
-    guard.check("H0 cycle enumeration", ring.size ** A.rank(0))
+    guard.check("H0 cycle enumeration", ring.size, A.rank(0))
     cycles = _all_vectors(ring, A.rank(0)).T.copy()  # degree 0: everything is a cycle
 
     # images of every cycle under every viable f_0, a chunk of f_0 at a time

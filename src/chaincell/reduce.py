@@ -42,7 +42,16 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from ._kernels import echelon_mod, enc_add, enc_sub, lift_inverse, mat_mul, matmul_exact, rank_mod
+from ._kernels import (
+    echelon_mod,
+    enc_add,
+    enc_sub,
+    lift_inverse,
+    mat_mul,
+    matmul_exact,
+    rank_mod,
+    residue,
+)
 from .complexes import (
     ChainComplex,
     ModuleDescriptor,
@@ -145,7 +154,7 @@ def minimize(X: ChainComplex) -> MinimizeResult:
     steps, disks = [], []
     for n in range(1, n_degrees):
         D = W[n]
-        if not np.any(D % p):
+        if not residue(D, p).any():
             continue
         rows, cols = D.shape
         s, I, J, reduced = echelon_mod(D, p, carry=True)
@@ -159,7 +168,7 @@ def minimize(X: ChainComplex) -> MinimizeResult:
         Q = D_I[:, Jc]
         SP_inv = mat_mul(D_Ic[:, J], P_inv, p, fl)
         W[n] = enc_sub(D_Ic[:, Jc], mat_mul(SP_inv, Q, p, fl), p, fl)
-        if np.any(W[n] % p):
+        if residue(W[n], p).any():
             raise ChaincellError(f"Schur complement in d{n} has a unit entry")
         if n + 1 < n_degrees:
             if np.any(mat_mul(D_I, W[n + 1], p, fl)):  # J rows of C^-1 W[n+1]
@@ -206,7 +215,7 @@ def verify_certificates(X: ChainComplex, result: MinimizeResult) -> bool:
 def _require_minimal(M: ChainComplex):
     """Refuse a complex with a unit entry in some differential."""
     for n, d in enumerate(M.diffs, 1):
-        if (d.data % M.ring.p).any():
+        if residue(d.data, M.ring.p).any():
             raise UsageError(f"complex is not minimal: unit entry in d{n}")
 
 
@@ -274,7 +283,7 @@ def barcode(M: ChainComplex) -> Counter:
     require_valid(M)
     _require_minimal(M)
     p = M.ring.p
-    bars = []
+    bars = Counter()
     basis = np.zeros((M.rank(M.top), 0), dtype=np.int64)
     free = np.arange(M.rank(M.top))
     tags = np.zeros(0, dtype=np.intp)
@@ -292,11 +301,20 @@ def barcode(M: ChainComplex) -> Counter:
                 raise ChaincellError(
                     f"a column that dies at degree {n} is not its elimination's combination"
                 )
-            bars += [(n, t - n) for t in tags[dead].tolist()]
+            _count_tags(bars, n, tags[dead])
         tags = tags[pivots]
         free = _complement(pivot_rows, B.shape[0])
-    bars += [(0, t) for t in tags.tolist()] + [(0, 0)] * len(free)
-    return Counter(sorted(bars))
+    _count_tags(bars, 0, tags)
+    if len(free):
+        bars[0, 0] += len(free)
+    return Counter(dict(sorted(bars.items())))
+
+
+def _count_tags(bars: Counter, n: int, tags: np.ndarray):
+    """Count the bars (n, t - n) of generators tagged t that die at n."""
+    counts = np.bincount(tags)
+    for t in np.flatnonzero(counts).tolist():
+        bars[n, t - n] += int(counts[t])
 
 
 def decompose(X: ChainComplex) -> Decomposition:

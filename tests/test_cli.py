@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -601,6 +602,21 @@ def test_cli_rand_refuses_ranks_above_the_cell_cap(monkeypatch, capsys, units, o
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "6 cells exceed the cap of 5" in captured.err
+
+
+@pytest.mark.parametrize("rank", [85, 10**4, 10**6])
+@pytest.mark.parametrize("command", ["hom", "crosscheck"])
+def test_cli_refuses_guard_counts_too_large_to_build(command, rank, tmp_path, capsys):
+    # one degree of this rank: hom needs 4^(rank^2) chain-map candidates,
+    # crosscheck's brute homology 4^rank vectors; each is refused from its
+    # exponent and printed as a power
+    one = _write(tmp_path, "one.json", {"ring": "zpsq:2", "ranks": [rank], "differentials": []})
+    start = time.perf_counter()
+    assert cli.run([command, one, one]) == 4
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    want = f"needs 4^{rank * rank} candidates" if command == "hom" else f"needs at least 4^{rank} vector"
+    assert captured.out == "" and want in captured.err
 
 
 @pytest.mark.parametrize("command", ["sum", "cone", "extension"])

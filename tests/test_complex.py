@@ -191,6 +191,14 @@ def test_brute_homology_guard_refusal():
     with pytest.raises(GuardExceeded) as exc_info:
         brute_homology(big, work_limit=100)
     assert exc_info.value.required == 4**8
+    # a work count above 2**64 is decided by its exponents, never built
+    huge = make_complex(Z4, [2, 10**4], [linalg.zeros(Z4, 2, 10**4)])
+    with pytest.raises(GuardExceeded, match=r"needs at least 4\^10000 vector") as exc_info:
+        brute_homology(huge)
+    assert exc_info.value.required is None
+    with pytest.raises(GuardExceeded, match=r"needs 32 vector") as exc_info:
+        brute_homology(make_complex(Z4, [2, 2], [linalg.zeros(Z4, 2, 2)]), work_limit=31)
+    assert exc_info.value.required == 32
 
 
 def test_invalid_input_rejected_by_homology():

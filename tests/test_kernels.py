@@ -4,7 +4,9 @@
 rows at every pivot; ``_kernels.echelon_mod`` must return the same
 rank, pivot rows, pivot columns and reduced matrix, byte for byte,
 also on matrices with at most one nonzero per column, where it skips
-every update.  With ``carry`` it must return the reference's
+every update, and on matrices whose later columns it never visits,
+because after two columns without a pivot they vanish mod p on every
+row not yet a pivot row.  With ``carry`` it must return the reference's
 elimination of [M | I], pivots limited to M's columns, read on M's
 columns and on the identity columns of the pivot rows.
 """
@@ -99,6 +101,15 @@ def test_echelon_matches_reference_on_unreduced_entries(p):
         _assert_same_echelon(M, p)
         rank = int(rng.integers(0, min(rows, cols) + 1))
         _assert_same_echelon(_random_rank(rng, p, rows, cols, rank) - p * p, p)
+    # past FLOOR_MIN_ENTRIES the entry copy and the final reduction divide by floor
+    for rows, cols in [(40, 30), (30, 40), (64, 64), (17, 31)]:
+        assert rows * cols >= _kernels.FLOOR_MIN_ENTRIES
+        M = rng.integers(-3 * p * p, 3 * p * p, size=(rows, cols))
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        low = _random_rank(rng, p, rows, cols, rank) - p * p * rng.integers(1, 4, size=(rows, cols))
+        for carry in (False, True):
+            _assert_same_echelon(M, p, carry)
+            _assert_same_echelon(low, p, carry)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -215,3 +226,86 @@ def test_carried_elimination_gives_the_residue_inverse(p):
                 want = mat_inverse(P, p, flavor)
                 assert (lifted.dtype, lifted.shape) == (want.dtype, want.shape)
                 assert lifted.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 511, 512, 513, 2000])
+def test_residue_is_the_remainder_on_both_sides_of_the_switch(n):
+    rng = np.random.default_rng(n)
+    for p in PRIMES:
+        x = rng.integers(-4 * p**4, 4 * p**4, size=n)
+        got = _kernels.residue(x, p)
+        assert (got.dtype, got.tobytes()) == (x.dtype, (x % p).tobytes())
+
+
+def _stop_tests(monkeypatch, M, p, carry):
+    """The early-stop tests of one elimination that matches the reference:
+    (shape, whether some entry is a unit) of each ``residue`` call between
+    the entry copy and the final reduction."""
+    calls = []
+    real = _kernels.residue
+
+    def spy(x, q):
+        out = real(x, q)
+        calls.append((x.shape, bool(out.any())))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "residue", spy)
+        echelon_mod(M, p, carry)
+    return _assert_same_echelon(M, p, carry), calls[1:-1]
+
+
+def _in_rows(rng, p, E, rows):
+    """A @ E for a random A with independent columns mod p, rows shuffled,
+    entries unreduced."""
+    k = E.shape[0]
+    A = np.vstack([np.eye(k, dtype=np.int64), rng.integers(0, p, size=(rows - k, k))])
+    M = A[rng.permutation(rows)] @ E % p
+    return M + p * rng.integers(-p, p, size=M.shape)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("carry", [False, True])
+def test_echelon_stops_once_the_rank_is_reached(p, carry, monkeypatch):
+    # pivots in columns 0-2, then columns whose pivot-row entries are
+    # nonzero but which vanish on the free rows: after columns 3 and 4
+    # one test covers the rest and ends the loop
+    rng = np.random.default_rng(800 + p)
+    for rows, cols in [(6, 9), (8, 30), (3, 12), (20, 40)]:
+        E = np.hstack([np.eye(3, dtype=np.int64), rng.integers(1, p, size=(3, cols - 3))])
+        M = _in_rows(rng, p, E, rows)
+        (rank, _, pivot_cols, reduced), tests = _stop_tests(monkeypatch, M, p, carry)
+        assert rank == 3 and pivot_cols.tolist() == [0, 1, 2]
+        assert reduced[:3, 5:cols].any()  # the skipped columns' pivot-row entries
+        assert tests == ([((cols - 5, rows - 3), False)] if rows > 3 else [])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("carry", [False, True])
+def test_echelon_goes_on_when_a_later_column_has_a_pivot(p, carry, monkeypatch):
+    # columns 2 and 3 have no pivot, column 4 does: the test after column
+    # 3 fails and the loop goes on; after columns 5 and 6 it ends
+    rng = np.random.default_rng(900 + p)
+    for rows, cols in [(5, 9), (7, 12), (12, 25)]:
+        E = rng.integers(0, p, size=(3, cols))
+        E[:, [0, 1, 4]] = np.eye(3, dtype=np.int64)
+        E[2, [2, 3]] = 0
+        E[2, 5:] = rng.integers(1, p, size=cols - 5)
+        M = _in_rows(rng, p, E, rows)
+        (rank, _, pivot_cols, _), tests = _stop_tests(monkeypatch, M, p, carry)
+        assert rank == 3 and pivot_cols.tolist() == [0, 1, 4]
+        assert tests == [((cols - 4, rows - 2), True), ((cols - 7, rows - 3), False)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("carry", [False, True])
+def test_echelon_skips_columns_that_are_multiples_of_p(p, carry, monkeypatch):
+    # past the two pivots every entry is a nonzero multiple of p
+    rng = np.random.default_rng(1000 + p)
+    for rows, cols in [(4, 8), (10, 10), (6, 30)]:
+        M = p * rng.choice([-1, 1], size=(rows, cols)) * rng.integers(1, p + 1, size=(rows, cols))
+        M[[0, 1], [0, 1]] += rng.integers(1, p, size=2)
+        (rank, _, pivot_cols, reduced), tests = _stop_tests(monkeypatch, M, p, carry)
+        assert rank == 2 and pivot_cols.tolist() == [0, 1]
+        assert tests == [((cols - 4, rows - 2), False)]
+        assert not reduced[:, 2:cols].any()

@@ -107,6 +107,25 @@ def test_guard_refusal_reports_budget():
     assert info.value.required == 4**16
 
 
+def test_guard_decides_by_the_exponent_and_prints_a_power():
+    # |R|^(rank*rank) candidates from one degree to one degree; exact
+    # .required up to 2**64 = 4^32, None above it, where it is never built
+    for (a, b), required in (((4, 8), 4**32), ((3, 11), None), ((85, 85), None)):
+        X, Y = make_complex(Z4, [a], []), make_complex(Z4, [b], [])
+        for fn in (enumerate_chain_maps, chain_map_module, hom_complex):
+            with pytest.raises(GuardExceeded, match=rf"needs 4\^{a * b} candidates") as info:
+                fn(X, Y, SizeGuard(100))
+            assert info.value.required == required
+    huge = make_complex(Z4, [10**6], [])
+    start = time.perf_counter()
+    with pytest.raises(GuardExceeded, match=r"needs 4\^1000000000000 candidates"):
+        hom_complex(huge, huge)
+    assert time.perf_counter() - start < 1
+    # a guard far above 2**64 still admits what it covers
+    one = make_complex(Z4, [1], [])
+    assert len(enumerate_chain_maps(one, one, SizeGuard(1 << 200))) == 4
+
+
 def test_exists_h0_epi_examples(ring):
     assert exists_h0_epi(interval(ring, 0, 0), interval(ring, 0, 1))
     assert not exists_h0_epi(interval(ring, 0, 1), interval(ring, 0, 0))
@@ -209,7 +228,7 @@ def test_oracle_item_sequence_validates_each_input_once(p2_ring, rng, monkeypatc
 def test_oracle_entries_refuse_a_ring_mismatch(monkeypatch, entry):
     # the rings are compared before any guard, table or minimal model
     class NoGuard(SizeGuard):
-        def check(self, what, required):
+        def check(self, what, base, exponent):
             raise AssertionError(f"{what} was guarded before the ring check")
 
     def no_table(*args, **kwargs):
@@ -484,7 +503,7 @@ def test_hom_boundary_image_size_reaches_past_the_product_of_its_blocks(rng):
     xs, ys = [(0, 3), (0, 3), (1, 1)], [(0, 3), (1, 3)]
     X = conjugated(direct_sum_all(Z4, [interval(Z4, *s) for s in xs]), rng)
     Y = conjugated(direct_sum_all(Z4, [interval(Z4, *s) for s in ys]), rng)
-    candidates = oracle._hom1_candidates(X, Y)
+    candidates = Z4.size ** oracle._hom1_exponent(X, Y)
     assert candidates > 4**13
     start = time.perf_counter()
     got = hom_boundary_image_size(X, Y, SizeGuard(candidates))
