@@ -334,8 +334,8 @@ def brute_homology(X: ChainComplex, work_limit: int = BRUTE_WORK_LIMIT) -> list:
     Refuses when the enumeration would exceed work_limit vectors.
     """
     require_valid(X)
-    if _brute_work(X, work_limit) is None:
-        work = _brute_work(X, EXACT_REQUIRED)
+    work = _brute_work(X, max(work_limit, EXACT_REQUIRED))
+    if work is None or work > work_limit:
         text = work if work is not None else f"at least {X.ring.size}^{max(X.ranks)}"
         raise GuardExceeded(
             f"brute homology needs {text} vector enumerations; limit {work_limit}",

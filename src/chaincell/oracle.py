@@ -79,11 +79,12 @@ class SizeGuard:
 
     def check(self, what: str, base: int, exponent: int):
         """Refuse base**exponent candidates above the guard."""
-        if _power_at_most(base, exponent, self.max_search_space) is None:
+        count = _power_at_most(base, exponent, max(self.max_search_space, EXACT_REQUIRED))
+        if count is None or count > self.max_search_space:
             raise GuardExceeded(
                 f"{what} needs {base}^{exponent} candidates; guard allows "
                 f"{self.max_search_space} (raise the guard to proceed)",
-                required=_power_at_most(base, exponent, EXACT_REQUIRED),
+                required=count,
             )
 
 

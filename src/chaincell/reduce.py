@@ -229,7 +229,7 @@ def _row_ranks(M: ChainComplex, a: int):
     for n in range(a + 1, len(M.ranks)):
         if rank:
             B = M.d(n).data // p
-            prod = B if prod is None else matmul_exact(prod, B, p) % p
+            prod = B if prod is None else residue(matmul_exact(prod, B, p), p)
             rank = rank_mod(prod, p)
         yield rank
 
@@ -289,7 +289,7 @@ def barcode(M: ChainComplex) -> Counter:
     tags = np.zeros(0, dtype=np.intp)
     for n in range(M.top, 0, -1):
         B = M.d(n).data // p
-        columns = np.hstack([matmul_exact(B, basis, p) % p, B[:, free]])
+        columns = np.hstack([residue(matmul_exact(B, basis, p), p), B[:, free]])
         tags = np.concatenate([tags, np.full(len(free), n, dtype=np.intp)])
         r, pivot_rows, pivots, reduced = echelon_mod(columns, p)
         basis = columns[:, pivots]
@@ -297,7 +297,7 @@ def barcode(M: ChainComplex) -> Counter:
             dead = _complement(pivots, columns.shape[1])
             coeffs = reduced[:r, dead]
             combined = matmul_exact(basis, coeffs, p) - columns[:, dead]
-            if coeffs[pivots[:, None] > dead].any() or (combined % p).any():
+            if coeffs[pivots[:, None] > dead].any() or residue(combined, p).any():
                 raise ChaincellError(
                     f"a column that dies at degree {n} is not its elimination's combination"
                 )

@@ -33,6 +33,22 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+class _GuardedSize(int):
+    """An |R| that fails when raised to an integer power above 64."""
+
+    def __pow__(self, exponent, modulo=None):
+        if isinstance(exponent, int) and exponent > 64:
+            raise AssertionError(f"built |R|^{exponent}")
+        return pow(int(self), exponent, modulo)
+
+
+@pytest.fixture
+def no_huge_powers(monkeypatch):
+    """Make every ring's |R| fail when raised past the 64th power, so a
+    guard that builds a count far above 2**64 fails its test at once."""
+    monkeypatch.setattr(RingSpec, "size", property(lambda self: _GuardedSize(self.p * self.p)))
+
+
 def bounded_random_complex(ring, rng, max_len=5, max_rank=4):
     """Seeded random complex with unit entries, ranks capped degreewise."""
     from chaincell.randgen import random_complex_with_disks

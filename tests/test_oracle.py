@@ -1,5 +1,4 @@
 import itertools
-import time
 
 import numpy as np
 import pytest
@@ -107,7 +106,7 @@ def test_guard_refusal_reports_budget():
     assert info.value.required == 4**16
 
 
-def test_guard_decides_by_the_exponent_and_prints_a_power():
+def test_guard_decides_by_the_exponent_and_prints_a_power(no_huge_powers):
     # |R|^(rank*rank) candidates from one degree to one degree; exact
     # .required up to 2**64 = 4^32, None above it, where it is never built
     for (a, b), required in (((4, 8), 4**32), ((3, 11), None), ((85, 85), None)):
@@ -117,10 +116,8 @@ def test_guard_decides_by_the_exponent_and_prints_a_power():
                 fn(X, Y, SizeGuard(100))
             assert info.value.required == required
     huge = make_complex(Z4, [10**6], [])
-    start = time.perf_counter()
     with pytest.raises(GuardExceeded, match=r"needs 4\^1000000000000 candidates"):
         hom_complex(huge, huge)
-    assert time.perf_counter() - start < 1
     # a guard far above 2**64 still admits what it covers
     one = make_complex(Z4, [1], [])
     assert len(enumerate_chain_maps(one, one, SizeGuard(1 << 200))) == 4
@@ -497,7 +494,7 @@ def test_hom_boundary_image_size_matches_the_interval_pair_table(ring):
         assert got == _bar_image_size(ring.p, [(a, j)], [(b, k)]), (a, j, b, k)
 
 
-def test_hom_boundary_image_size_reaches_past_the_product_of_its_blocks(rng):
+def test_hom_boundary_image_size_reaches_past_the_product_of_its_blocks(rng, monkeypatch):
     # 4^18 families in Hom_1; the search costs the sum of its degrees'
     # candidates, at most 4^6 here
     xs, ys = [(0, 3), (0, 3), (1, 1)], [(0, 3), (1, 3)]
@@ -505,9 +502,16 @@ def test_hom_boundary_image_size_reaches_past_the_product_of_its_blocks(rng):
     Y = conjugated(direct_sum_all(Z4, [interval(Z4, *s) for s in ys]), rng)
     candidates = Z4.size ** oracle._hom1_exponent(X, Y)
     assert candidates > 4**13
-    start = time.perf_counter()
+    blocks = []
+    candidate_matrices = oracle._candidate_matrices
+
+    def spy(ring, rows, cols):
+        blocks.append(rows * cols)
+        return candidate_matrices(ring, rows, cols)
+
+    monkeypatch.setattr(oracle, "_candidate_matrices", spy)
     got = hom_boundary_image_size(X, Y, SizeGuard(candidates))
-    assert time.perf_counter() - start < 1
+    assert blocks and max(blocks) <= 6
     assert got == _bar_image_size(Z4.p, xs, ys)
 
 
