@@ -34,7 +34,8 @@ BRUTE_WORK_LIMIT = 1 << 20
 MAX_DEGREES = 1 << 16
 # ``sum``, ``cone``, ``extension``, ``tensor``, ``hom`` and the random
 # complexes build at most this many dense cells (512 MB as int64), counted
-# from the ranks before anything is built.
+# from the ranks before anything is built; a file's ranks sum to at most
+# this many generators.
 MAX_CELLS = 1 << 26
 # A refused count above this is too large to build; its ``.required`` is None.
 EXACT_REQUIRED = 1 << 64
@@ -140,6 +141,14 @@ def _check_degrees(n: int):
     """Refuse a complex of n degrees above ``MAX_DEGREES`` before it is built."""
     if n > MAX_DEGREES:
         raise GuardExceeded(f"{n} degrees exceed the cap of {MAX_DEGREES}", required=n)
+
+
+def _check_generators(ranks):
+    """Refuse a complex whose ranks sum past ``MAX_CELLS`` before it is
+    built: each generator costs memory, whatever its differentials hold."""
+    total = sum(ranks)
+    if total > MAX_CELLS:
+        raise GuardExceeded(f"{total} generators exceed the cap of {MAX_CELLS}", required=total)
 
 
 def _check_cells(*rank_lists, extra: int = 0):

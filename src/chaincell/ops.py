@@ -274,8 +274,35 @@ def _id_kron(ring: RingSpec, eye: np.ndarray, B: np.ndarray, negate) -> np.ndarr
     return prod.reshape(m * B.shape[0], m * B.shape[1])
 
 
+def _rank_products(a, b) -> list:
+    """c[n] = sum_i a[i] * b[n - i] for the rank lists a and b, exactly.
+
+    One convolution of the stretches between their first and last
+    nonzero ranks, in int64 whenever no sum can pass it.
+    """
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    ia, ib = np.flatnonzero(a), np.flatnonzero(b)
+    if len(ia) and len(ib):
+        dtype = np.int64 if sum(a) * sum(b) < 1 << 63 else object
+        a = np.asarray(a[ia[0] : ia[-1] + 1], dtype=dtype)
+        b = np.asarray(b[ib[0] : ib[-1] + 1], dtype=dtype)
+        lo = int(ia[0] + ib[0])
+        out[lo : lo + len(a) + len(b) - 1] = np.convolve(a, b).tolist()
+    return out
+
+
+def _nonzero_pairs(a, b):
+    """The pairs (i, j) with a[i] and b[j] nonzero, i ascending, then j."""
+    nz_b = [j for j, r in enumerate(b) if r]
+    return ((i, j) for i, r in enumerate(a) if r for j in nz_b)
+
+
 def tensor(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
-    """X (x) Y; each block is reduced, and negated if need be, as it is written."""
+    """X (x) Y; each block is reduced, and negated if need be, as it is written.
+
+    Degrees, then cells, are counted from the ranks before any block is
+    listed; blocks are listed only for pairs of nonzero ranks.
+    """
     if X.ring != Y.ring:
         raise UsageError("ring mismatch in tensor")
     ring = X.ring
@@ -283,13 +310,13 @@ def tensor(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
         return empty(ring)
     rx, ry = X.ranks, Y.ranks
     n_degrees = len(rx) + len(ry) - 1
-    blocks = [
-        [(i, n - i) for i in range(max(0, n - Y.top), min(n, X.top) + 1) if rx[i] and ry[n - i]]
-        for n in range(n_degrees)
-    ]
-    dims = [[rx[i] * ry[j] for i, j in bs] for bs in blocks]
-    ranks = [sum(ds) for ds in dims]
+    _check_degrees(n_degrees)
+    ranks = _rank_products(rx, ry)
     _check_cells(ranks)
+    blocks = [[] for _ in range(n_degrees)]  # (i, j) with i + j = n, i ascending
+    for i, j in _nonzero_pairs(rx, ry):
+        blocks[i + j].append((i, j))
+    dims = [[rx[i] * ry[j] for i, j in bs] for bs in blocks]
     eye = functools.cache(_eye)  # one identity per size, made when first needed
     diffs = []
     for n in range(1, n_degrees):
@@ -332,15 +359,28 @@ def _hom_rank(X: ChainComplex, Y: ChainComplex, n: int) -> int:
     return sum(X.rank(i) * Y.rank(i + n) for i in range(X.top + 1))
 
 
-def _hom_blocks(X: ChainComplex, Y: ChainComplex, n: int):
-    return [i for i in range(X.top + 1) if X.rank(i) and Y.rank(i + n)]
+def _hom_ranks(X: ChainComplex, Y: ChainComplex) -> list:
+    """``_hom_rank(X, Y, n)`` for n = 0, ..., max(Y.top, 0), from one
+    convolution of the rank lists."""
+    if X.is_empty() or Y.is_empty():
+        return [0] * max(Y.top + 1, 1)
+    return _rank_products(X.ranks[::-1], Y.ranks)[X.top :]
 
 
-def _hom_diff(X: ChainComplex, Y: ChainComplex, n: int) -> MatrixR:
+def _hom_blocks(X: ChainComplex, Y: ChainComplex) -> list:
+    """Per n up to one past ``_hom_ranks``, the source degrees i of the
+    nonzero blocks X_i -> Y_(i+n), ascending."""
+    blocks = [[] for _ in range(max(Y.top + 2, 2))]
+    for i, j in _nonzero_pairs(X.ranks, Y.ranks):
+        if j >= i:
+            blocks[j - i].append(i)
+    return blocks
+
+
+def _hom_diff(X: ChainComplex, Y: ChainComplex, n: int, blocks) -> MatrixR:
     """Matrix of Hom_n -> Hom_{n-1}, blocks indexed by source degree i."""
     ring = X.ring
-    src_blocks = _hom_blocks(X, Y, n)
-    tgt_blocks = _hom_blocks(X, Y, n - 1)
+    src_blocks, tgt_blocks = blocks[n], blocks[n - 1]
     row_of = {i: k for k, i in enumerate(tgt_blocks)}
     nonzero = {}
     for c, i in enumerate(src_blocks):
@@ -359,9 +399,9 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
         raise UsageError("ring mismatch in hom")
     require_valid(X)
     require_valid(Y)
-    top = Y.top  # Hom_n vanishes once i + n > Y.top for all i
-    pos_ranks = [0] + [_hom_rank(X, Y, n) for n in range(1, max(top + 1, 1))]
-    full_ranks = [_hom_rank(X, Y, 0)] + pos_ranks[1:] if X.top <= 0 else []
+    ranks = _hom_ranks(X, Y)  # Hom_n vanishes once i + n > Y.top for all i
+    pos_ranks = [0] + ranks[1:]
+    full_ranks = ranks if X.top <= 0 else []
     _check_cells(pos_ranks, full_ranks)
     from . import oracle as _oracle
 
@@ -369,20 +409,21 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
     # and builds nothing; the image count goes first, as the shift of X
     # it searches from may meet the degree cap
     guard = guard if guard is not None else _oracle.SizeGuard()
-    guard.check("chain map enumeration", X.ring.size, _oracle._map_exponent(X, Y))
-    guard.check("hom degree-1 enumeration", X.ring.size, _oracle._hom1_exponent(X, Y))
+    guard.check("chain map enumeration", X.ring.size, _hom_rank(X, Y, 0))
+    guard.check("hom degree-1 enumeration", X.ring.size, _hom_rank(X, Y, 1))
     d1_image_size = _oracle.hom_boundary_image_size(X, Y, guard)
     degree0 = _oracle.chain_map_module(X, Y, guard)
 
     # Hom_n -> Hom_(n-1) for n >= 2; the positive part has Hom_0 = 0, and
-    # from a source in degree 0 the full complex adds d_1 = _hom_diff(X, Y, 1)
+    # from a source in degree 0 the full complex adds d_1 = _hom_diff(X, Y, 1, ...)
     ring = X.ring
-    diffs = [_hom_diff(X, Y, n) for n in range(2, len(pos_ranks))]
+    blocks = _hom_blocks(X, Y)
+    diffs = [_hom_diff(X, Y, n, blocks) for n in range(2, len(pos_ranks))]
     d1 = [linalg.zeros(ring, 0, pos_ranks[1])] if len(pos_ranks) > 1 else []
     positive = _inherit_verdict(make_complex(ring, pos_ranks, d1 + diffs, check=False), X, Y)
 
     full = None
     if X.top <= 0:
-        full_diffs = [_hom_diff(X, Y, 1)] + diffs
+        full_diffs = [_hom_diff(X, Y, 1, blocks)] + diffs
         full = _inherit_verdict(make_complex(ring, full_ranks, full_diffs, check=False), X, Y)
     return HomComplex(X, Y, degree0, positive, d1_image_size, full)

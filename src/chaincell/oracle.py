@@ -14,12 +14,10 @@ the sum of their sizes, not their product.  It also sizes the image of
 Hom_1 -> Hom_0: the degree-1 families with zero boundary are exactly
 the chain maps shift(X, 1) -> Y, so counting them gives |im d_1|.
 
-The H0-epi search works in numpy batches rather than one Python call
-per vector: a vector of Y_0 is named by its integer code
-(``complexes._codes``, its row index in ``_all_vectors``), and at most
-``_F0_CHUNK`` degree-0 components are applied to all cycles at once, a
-chunk of about ``_CHUNK_CELLS`` entries, so memory beyond the candidate
-stacks themselves stays bounded.
+The H0-epi search marks as hit only the columns of each surviving
+degree-0 component f_0 and their r-multiples, in a boolean table over
+the codes of Y_0 (a vector's code, ``complexes._codes``, is its row
+index in ``_all_vectors``); it never applies f_0 to the vectors of A_0.
 
 Refusals are predictable: the guard is compared against the worst-case
 unpruned candidate count, not against what the pruning actually visits.
@@ -38,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from ._kernels import enc_add
+from ._kernels import enc_add, enc_mul
 from .complexes import (
     EXACT_REQUIRED,
     ChainComplex,
@@ -55,15 +53,9 @@ from .complexes import (
 from .errors import ChaincellError, DomainError, GuardExceeded, UsageError
 from .lattice import _cellular_verdict, _min_pair
 from .linalg import MatrixR
-from .ops import ChainMap, Extension, _extension_cells, desuspend, extension, shift
+from .ops import ChainMap, Extension, _extension_cells, _hom_rank, desuspend, extension, shift
 from .reduce import minimize
 from .ring import check_same_ring
-
-
-# exists_h0_epi's chunks hold at most about this many entries.
-_CHUNK_CELLS = 1 << 16
-# exists_h0_epi takes at most this many f_0 candidates per chunk.
-_F0_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -88,18 +80,6 @@ class SizeGuard:
             )
 
 
-def _map_exponent(X: ChainComplex, Y: ChainComplex) -> int:
-    """Worst-case chain map candidates X -> Y are |R| to this power: every
-    block in every degree."""
-    levels = max(len(X.ranks), len(Y.ranks))
-    return sum(X.rank(n) * Y.rank(n) for n in range(levels))
-
-
-def _hom1_exponent(X: ChainComplex, Y: ChainComplex) -> int:
-    """|Hom(X, Y)_1| is |R| to this power: every family g_i: X_i -> Y_(i+1)."""
-    return sum(X.rank(i) * Y.rank(i + 1) for i in range(X.top + 1))
-
-
 def _candidate_matrices(ring, rows: int, cols: int) -> np.ndarray:
     """Every matrix of the given shape, shape (|R|^(rows*cols), rows, cols)."""
     vecs = _all_vectors(ring, rows * cols)
@@ -122,11 +102,12 @@ def _keys(arr: np.ndarray):
 
 
 class _MapSearch:
-    """Backtracking state for chain maps source -> target.
+    """Chain maps source -> target, searched degree by degree.
 
-    Candidates per degree are pruned by grouping on the two sides of the
-    commutation equation target.d(n) @ f_n == f_(n-1) @ source.d(n).
-    Both complexes are validated first.
+    Each degree keeps every candidate block f_n with the keys of both
+    sides of the commutation equation target.d(n) @ f_n == f_(n-1) @
+    source.d(n); ``survivors`` prunes and counts in one pass down the
+    degrees.  Both complexes are validated first.
     """
 
     def __init__(self, source: ChainComplex, target: ChainComplex, guard: SizeGuard):
@@ -137,7 +118,7 @@ class _MapSearch:
         self.source, self.target = source, target
         self.ring = source.ring
         self.levels = max(len(source.ranks), len(target.ranks))
-        guard.check("chain map enumeration", self.ring.size, _map_exponent(source, target))
+        guard.check("chain map enumeration", self.ring.size, _hom_rank(source, target, 0))
 
         p, fl = self.ring.p, self.ring.flavor_code
         self.cand = [
@@ -152,51 +133,46 @@ class _MapSearch:
             rhs = _kernels.mat_mul(self.cand[n - 1], source.d(n).data, p, fl)
             self.rhs_keys[n - 1] = _keys(rhs.reshape(len(self.cand[n - 1]), -1))
 
-        self.viable = [list(range(len(c))) for c in self.cand]
-        self.groups = [None] * self.levels  # lhs key -> viable candidate indices
-        for n in range(self.levels - 1, 0, -1):
-            grp = {}
-            for k in self.viable[n]:
-                grp.setdefault(self.lhs_keys[n][k], []).append(k)
-            self.groups[n] = grp
-            self.viable[n - 1] = [
-                k for k in self.viable[n - 1] if self.rhs_keys[n - 1][k] in grp
-            ]
+    def survivors(self, only_m: bool = False) -> list:
+        """Per degree n, the candidates f_n that extend to a chain map in
+        degrees n and up, each with the number of those extensions, in
+        candidate order; optionally only blocks with every entry in m.
+
+        A candidate survives when its right-hand key meets the left-hand
+        key of a survivor one degree up.
+        """
+        def admitted(n):
+            if not only_m:
+                return range(len(self.cand[n]))
+            return np.flatnonzero(~np.any(self.cand[n] % self.ring.p, axis=(1, 2))).tolist()
+
+        alive = [dict.fromkeys(admitted(self.levels - 1), 1)]
+        for n in range(self.levels - 2, -1, -1):
+            through = {}  # lhs key one degree up -> chain maps through it
+            for k, c in alive[-1].items():
+                key = self.lhs_keys[n + 1][k]
+                through[key] = through.get(key, 0) + c
+            rhs = self.rhs_keys[n]
+            alive.append({k: through[rhs[k]] for k in admitted(n) if rhs[k] in through})
+        return alive[::-1]
 
     def expand(self):
         """All chain maps as tuples of candidate indices, lexicographic."""
-        partials = [(k,) for k in self.viable[0]]
+        alive = self.survivors()
+        partials = [(k,) for k in alive[0]]
         for n in range(1, self.levels):
-            nxt = []
-            for partial in partials:
-                key = self.rhs_keys[n - 1][partial[-1]]
-                for k in self.groups[n].get(key, ()):
-                    nxt.append(partial + (k,))
-            partials = nxt
+            groups = {}  # lhs key -> surviving candidate indices
+            for k in alive[n]:
+                groups.setdefault(self.lhs_keys[n][k], []).append(k)
+            rhs = self.rhs_keys[n - 1]
+            partials = [t + (k,) for t in partials for k in groups.get(rhs[t[-1]], ())]
         return partials
 
     def counts(self, only_m: bool = False):
         """Number of chain maps, optionally only those with every entry in m."""
         if self.levels == 0:
             return 1
-        p = self.ring.p
-        admitted = [
-            ~np.any(c % p, axis=(1, 2)) if only_m else np.ones(len(c), bool)
-            for c in self.cand
-        ]
-        cnt = {k: 1 for k in self.viable[-1] if admitted[-1][k]}
-        for n in range(self.levels - 1, 0, -1):
-            by_key = {}  # lhs key -> chain maps so far through it
-            for k, c in cnt.items():
-                key = self.lhs_keys[n][k]
-                by_key[key] = by_key.get(key, 0) + c
-            rhs = self.rhs_keys[n - 1]
-            cnt = {
-                k: by_key[rhs[k]]
-                for k in self.viable[n - 1]
-                if admitted[n - 1][k] and rhs[k] in by_key
-            }
-        return sum(cnt.values())
+        return sum(self.survivors(only_m)[0].values())
 
     def to_chain_map(self, key_tuple) -> ChainMap:
         mats = tuple(
@@ -233,7 +209,7 @@ def hom_boundary_image_size(X: ChainComplex, Y: ChainComplex, guard: SizeGuard =
     check_same_ring(X, Y)
     require_valid(X)
     require_valid(Y)
-    exponent = _hom1_exponent(X, Y)
+    exponent = _hom_rank(X, Y, 1)
     guard.check("hom degree-1 enumeration", X.ring.size, exponent)
     candidates = X.ring.size**exponent  # = |Hom_1|, at most the guard
     cycles = _MapSearch(shift(X, 1), Y, guard).counts()
@@ -255,6 +231,15 @@ def exists_h0_epi(A: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard
     such g and adds the whole shifted copies span + k*g.  The maps hit
     H_0(Y) exactly when the span ends as all of Y_0.
 
+    Only the columns of each surviving f_0 and their r-multiples are
+    marked hit.  Every element of R is a + b*r with integers a and b and
+    f_0 is R-linear, so these vectors span f_0's image under addition,
+    and the closure above reaches the same span from them as from f_0
+    applied to every vector of A_0.  In ``dual`` r*g is no integer
+    multiple of g, so the r-multiples are needed whenever the surviving
+    f_0 are not closed under r; all of them together are, as the
+    degree-0 parts of the module of chain maps.
+
     Requires H_0(A) != 0 (the surjectivity criterion's hypothesis);
     desuspend the pair first when the bottom degree is positive.
     """
@@ -274,18 +259,11 @@ def exists_h0_epi(A: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard
         return True
 
     search = _MapSearch(A, Y, guard)
-    guard.check("H0 cycle enumeration", ring.size, A.rank(0))
-    cycles = _all_vectors(ring, A.rank(0)).T.copy()  # degree 0: everything is a cycle
-
-    # images of every cycle under every viable f_0, a chunk of f_0 at a time
+    columns = _codes(ring, search.cand[0].transpose(0, 2, 1))  # per candidate f_0
     hit = np.zeros(len(span), dtype=bool)
-    f0_stack = search.cand[0][search.viable[0]]
-    step = max(1, min(_F0_CHUNK, _CHUNK_CELLS // (Y.rank(0) * cycles.shape[1])))
-    for lo in range(0, len(f0_stack), step):
-        images = _kernels.mat_mul(f0_stack[lo : lo + step], cycles, p, fl)
-        hit[_codes(ring, images.transpose(0, 2, 1))] = True
-
+    hit[columns[list(search.survivors()[0])]] = True
     vecs = _all_vectors(ring, Y.rank(0))
+    hit[_codes(ring, enc_mul(vecs[hit], p, p, fl))] = True  # r is encoded as p
     while not span.all():
         outside = np.flatnonzero(hit & ~span)
         if not len(outside):

@@ -3,7 +3,8 @@
 One writer, fixed key order, so emitted files are byte-reproducible:
 parse(emit(x)) == x and emit(parse(emit(x))) == emit(x).  The parsers
 check only what a file can get wrong before it is a complex or a map:
-JSON structure, entry types and ranges, ragged rows and the degree cap.
+JSON structure, entry types and ranges, ragged rows, the degree cap and
+the cap on generators, both checked before any matrix is parsed.
 The rules of a complex (the number of differentials, their shapes and
 d*d = 0) are ``complexes.validate``'s, run on the complex as written,
 before trailing zero ranks are trimmed; its diagnostic is the
@@ -16,7 +17,14 @@ import json
 
 import numpy as np
 
-from .complexes import ChainComplex, _check_degrees, _inherit_verdict, make_complex, validate
+from .complexes import (
+    ChainComplex,
+    _check_degrees,
+    _check_generators,
+    _inherit_verdict,
+    make_complex,
+    validate,
+)
 from .errors import InvalidComplexError, UsageError
 from .linalg import MatrixR
 from .ops import ChainMap, HomComplex, is_chain_map
@@ -88,6 +96,7 @@ def complex_from_dict(data, ring_override: RingSpec = None) -> ChainComplex:
     if not isinstance(ranks, list) or any(not _is_int(r) or r < 0 for r in ranks):
         raise InvalidComplexError("ranks must be non-negative integers")
     _check_degrees(len(ranks))
+    _check_generators(ranks)
     mats_raw = data["differentials"]
     if not isinstance(mats_raw, list):
         raise InvalidComplexError("differentials must be a list of matrices")

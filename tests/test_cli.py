@@ -414,6 +414,37 @@ def test_cli_large_rank_without_differentials(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["minimal"]["ranks"] == [200000]
 
 
+def test_cli_refuses_a_file_whose_ranks_pass_the_cell_cap(tmp_path, monkeypatch, capsys):
+    # every declared generator costs memory, whatever its differentials
+    # hold, so the loader refuses ranks that sum past the cap before any
+    # matrix is parsed or any array allocated
+    from chaincell import complexes
+    from chaincell.errors import GuardExceeded
+
+    huge = _write(tmp_path, "huge.json", {"ring": "zpsq:2", "ranks": [99999999999999], "differentials": []})
+    zero = [0, 0]
+    five = {"ring": "zpsq:2", "ranks": [1, 2, 2], "differentials": [[[zero, zero]], [[zero, zero]] * 2]}
+    five_path = _write(tmp_path, "five.json", five)
+    monkeypatch.setattr(complexes, "MAX_CELLS", 5)
+    assert cli.run(["homology", five_path]) == 0  # at the cap
+    capsys.readouterr()
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("an array was allocated for a file past the cap")
+
+    for name in ("array", "asarray", "zeros", "empty", "eye"):
+        monkeypatch.setattr(np, name, no_alloc)
+    monkeypatch.setattr(complexes, "MAX_CELLS", 4)
+    with pytest.raises(GuardExceeded, match="5 generators exceed the cap of 4") as info:
+        serialize.complex_from_dict(five)
+    assert info.value.required == 5
+    monkeypatch.setattr(complexes, "MAX_CELLS", 1 << 26)
+    assert cli.run(["homology", huge]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refused: 99999999999999 generators exceed the cap of 67108864" in captured.err
+
+
 def test_cli_homology_and_minimize(files, capsys):
     assert cli.run(["homology", files["E02"]]) == 0
     assert json.loads(capsys.readouterr().out) == [[0, 1], [0, 0], [0, 1]]
@@ -556,20 +587,23 @@ def test_hom_from_a_source_at_the_degree_cap_is_refused_before_enumerating(
 def test_cli_refuses_tensor_and_hom_above_the_cell_cap(files, tmp_path, monkeypatch, capsys):
     from chaincell import complexes, oracle
 
+    # the cap of 4 admits every input file (the loader counts generators
+    # toward it) and no output: 8, 6 and 5 cells
     s0 = _write(tmp_path, "S0.json", serialize.complex_to_dict(sphere(Z4, 0)))
+    e03 = _write(tmp_path, "E03.json", serialize.complex_to_dict(interval(Z4, 0, 3)))
 
     def no_build(*args, **kwargs):
         raise AssertionError("an output above the cell cap was built or enumerated")
 
-    monkeypatch.setattr(complexes, "MAX_CELLS", 1)
+    monkeypatch.setattr(complexes, "MAX_CELLS", 4)
     for module, name in ((linalg, "from_blocks"), (linalg, "zeros"), (oracle, "chain_map_module"),
                          (oracle, "hom_boundary_image_size")):
         monkeypatch.setattr(module, name, no_build)
-    for argv in (["tensor", files["E02"], files["E01"]], ["hom", files["E01"], files["E02"]],
-                 ["hom", s0, files["E02"]]):
+    for argv in (["tensor", files["E02"], files["E01"]], ["hom", files["E01"], e03],
+                 ["hom", s0, e03]):
         assert cli.run(argv) == 4, argv
         captured = capsys.readouterr()
-        assert captured.out == "" and "cells exceed the cap of 1" in captured.err, argv
+        assert captured.out == "" and "cells exceed the cap of 4" in captured.err, argv
 
 
 @pytest.mark.parametrize(
@@ -643,12 +677,14 @@ def test_cli_refuses_sum_cone_and_extension_above_the_cell_cap(
     def no_build(*args, **kwargs):
         raise AssertionError("an output above the cell cap was built or drawn")
 
-    monkeypatch.setattr(complexes, "MAX_CELLS", 1)
+    # the cap of 3 admits every input file (the loader counts generators
+    # toward it) and no output
+    monkeypatch.setattr(complexes, "MAX_CELLS", 3)
     for module, name in ((linalg, "from_blocks"), (ops, "_eye"), (np.random, "default_rng")):
         monkeypatch.setattr(module, name, no_build)
     assert cli.run(argv) == 4
     captured = capsys.readouterr()
-    assert captured.out == "" and "cells exceed the cap of 1" in captured.err
+    assert captured.out == "" and "cells exceed the cap of 3" in captured.err
 
 
 def test_cell_cap_boundary(monkeypatch):

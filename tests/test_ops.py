@@ -3,6 +3,7 @@ import pytest
 
 from chaincell import disk, empty, homology, interval, linalg, make_complex, sphere, validate
 from chaincell import complexes, ops, oracle
+from chaincell.complexes import ChainComplex
 from chaincell.errors import GuardExceeded, InvalidComplexError, UsageError
 from chaincell.ops import (
     ChainMap,
@@ -316,3 +317,47 @@ def test_hom_checks_both_guards_before_enumerating(ring, monkeypatch):
     with pytest.raises(GuardExceeded, match="chain map enumeration") as info:
         hom_complex(X, W, SizeGuard(ring.size - 1))
     assert info.value.required == ring.size**2
+
+
+class _CountedRanks(tuple):
+    """A rank tuple that counts its lookups by index."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        _CountedRanks.reads += 1
+        return super().__getitem__(k)
+
+
+def _rank_reads(build, n):
+    S = sphere(Z4, n)
+    S = ChainComplex(S.ring, _CountedRanks(S.ranks), S.diffs)
+    _CountedRanks.reads = 0
+    build(S, S)
+    return _CountedRanks.reads
+
+
+@pytest.mark.parametrize("build", [tensor, hom_complex], ids=["tensor", "hom"])
+def test_tensor_and_hom_read_ranks_linearly_in_the_degrees(build):
+    # spheres in degree n: one block each, so every rank lookup past a
+    # linear number is a loop over degrees that hold nothing
+    reads = [_rank_reads(build, n) for n in (100, 200, 400)]
+    assert reads[2] - reads[1] <= 2 * (reads[1] - reads[0]) + 8, reads
+
+
+def test_tensor_refuses_an_output_past_the_degree_cap_before_building(monkeypatch):
+    X, Y = sphere(Z4, 4), sphere(Z4, 5)
+    monkeypatch.setattr(complexes, "MAX_DEGREES", 10)
+    assert tensor(X, Y).ranks == (0,) * 9 + (1,)
+    for module, name in ((ops, "_rank_products"), (linalg, "from_blocks")):
+        monkeypatch.setattr(module, name, _no_build)
+    with pytest.raises(GuardExceeded, match="11 degrees exceed the cap of 10") as info:
+        tensor(Y, Y)
+    assert info.value.required == 11
+
+
+def test_tensor_ranks_stay_exact_past_int64():
+    # no array is built for a single degree, so its rank may be any size
+    X = make_complex(Z4, [2**32], [])
+    assert tensor(X, X).ranks == (2**64,)
+    assert tensor(X, make_complex(Z4, [0, 3], [linalg.zeros(Z4, 0, 3)])).ranks == (0, 3 * 2**32)

@@ -404,16 +404,6 @@ def _hom1_exponent(X, Y):
     return sum(X.rank(i) * Y.rank(i + 1) for i in range(X.top + 1))
 
 
-@pytest.fixture(params=["default", "tiny"])
-def chunks(request, monkeypatch):
-    """Default chunk sizes for exists_h0_epi, or tiny ones that force many
-    ragged chunks."""
-    if request.param == "tiny":
-        monkeypatch.setattr(oracle, "_CHUNK_CELLS", 5)
-        monkeypatch.setattr(oracle, "_F0_CHUNK", 3)
-    return request.param
-
-
 def _small_pairs(ring, rng, exponent, count, want=lambda X, Y: True):
     pairs = []
     while len(pairs) < count:
@@ -437,7 +427,7 @@ def test_hom_boundary_image_size_matches_naive(ring, rng):
             assert hom_boundary_image_size(X, Y) == naive_hom_image_size(X, Y)
 
 
-def test_exists_h0_epi_matches_naive(ring, rng, chunks):
+def test_exists_h0_epi_matches_naive(ring, rng):
     def admissible(A, Y):
         return not A.is_empty() and not homology(A)[0].is_zero()
 
@@ -464,12 +454,7 @@ def test_exists_h0_epi_rank_zero_target(ring):
 
 def test_exists_h0_epi_no_viable_f0(ring, monkeypatch):
     # with no viable degree-0 component only the zero coset is reached
-    class NoMaps(oracle._MapSearch):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.viable[0] = []
-
-    monkeypatch.setattr(oracle, "_MapSearch", NoMaps)
+    _restricted_f0(monkeypatch, set())
     A, Y = sphere(ring, 0), interval(ring, 0, 1)
     assert exists_h0_epi(A, Y) is naive_exists_h0_epi(A, Y, f0s=[]) is False
 
@@ -500,7 +485,7 @@ def test_hom_boundary_image_size_reaches_past_the_product_of_its_blocks(rng, mon
     xs, ys = [(0, 3), (0, 3), (1, 1)], [(0, 3), (1, 3)]
     X = conjugated(direct_sum_all(Z4, [interval(Z4, *s) for s in xs]), rng)
     Y = conjugated(direct_sum_all(Z4, [interval(Z4, *s) for s in ys]), rng)
-    candidates = Z4.size ** oracle._hom1_exponent(X, Y)
+    candidates = Z4.size ** _hom1_exponent(X, Y)
     assert candidates > 4**13
     blocks = []
     candidate_matrices = oracle._candidate_matrices
@@ -541,17 +526,18 @@ def test_guard_refusals_keep_order_and_required():
 
 
 def _restricted_f0(monkeypatch, keep):
-    """Let only the candidate f_0 with these indices be viable."""
+    """Let only the candidate f_0 with these indices survive."""
 
     class Restricted(oracle._MapSearch):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.viable[0] = [k for k in self.viable[0] if k in keep]
+        def survivors(self, only_m=False):
+            alive = super().survivors(only_m)
+            alive[0] = {k: c for k, c in alive[0].items() if k in keep}
+            return alive
 
     monkeypatch.setattr(oracle, "_MapSearch", Restricted)
 
 
-def test_exists_h0_epi_many_cosets_p2(p2_ring, chunks, monkeypatch):
+def test_exists_h0_epi_many_cosets_p2(p2_ring, monkeypatch):
     # d_1 = 0 and Y_0 = R^5: 1024 cosets
     ring = p2_ring
     Y = make_complex(ring, [5], [])
@@ -566,7 +552,24 @@ def test_exists_h0_epi_many_cosets_p2(p2_ring, chunks, monkeypatch):
         assert exists_h0_epi(A0, Y) is naive_exists_h0_epi(A0, Y, f0s=f0s) is verdict
 
 
-def test_exists_h0_epi_many_cosets_p3(chunks):
+def test_exists_h0_epi_hits_h0_through_the_r_multiples_in_dual(monkeypatch):
+    # Y_0 = R with d_1 = 0, so H_0(Y) = R, and f_0 = [1] alone maps R onto
+    # it; under addition its column 1 spans only k = {0, ..., p - 1}, which
+    # misses r, and only its r-multiple, r itself, reaches H_0's m-part
+    ring = RingSpec("dual", 2)
+    p, fl = ring.p, ring.flavor_code
+    multiples, k_one = set(), np.zeros(1, dtype=np.int64)
+    for _ in range(ring.size):
+        k_one = enc_add(k_one, np.ones(1, dtype=np.int64), p, fl)
+        multiples.add(int(k_one[0]))
+    assert ring.r().encoded not in multiples
+    A, Y = sphere(ring, 0), make_complex(ring, [1], [])
+    _restricted_f0(monkeypatch, {1})  # the 1x1 candidates are indexed by their entry
+    f0s = [np.array([[1]], dtype=np.int64)]
+    assert exists_h0_epi(A, Y) is naive_exists_h0_epi(A, Y, f0s=f0s) is True
+
+
+def test_exists_h0_epi_many_cosets_p3():
     # Y_0 = R^3 at p = 3 with a rank-1 boundary, im d_1 = k (243 cosets) or R (81)
     verdicts = set()
     for ring, column in ((RingSpec("zpsq", 3), [[3], [0], [0]]), (RingSpec("dual", 3), [[1], [3], [0]])):
