@@ -419,6 +419,28 @@ def test_chain_map_module_matches_naive(ring, rng):
         assert chain_map_module(X, Y) == naive_chain_map_module(X, Y)
 
 
+def _block_key(m):
+    return m.shape, tuple(m.ravel().tolist())
+
+
+def test_survivors_count_the_chain_maps_through_each_f0(ring, rng):
+    # survivors()[0] maps each candidate f_0 to the number of chain maps
+    # that start with it; only_m keeps the maps with every entry in m
+    p = ring.p
+    for X, Y in _small_pairs(ring, rng, _map_exponent, 6, lambda X, Y: X.ranks or Y.ranks):
+        search = oracle._MapSearch(X, Y, SizeGuard())
+        for only_m in (False, True):
+            want = {}
+            for mats in naive_chain_maps(X, Y):
+                if only_m and any(np.any(m % p) for m in mats):
+                    continue
+                key = _block_key(mats[0])
+                want[key] = want.get(key, 0) + 1
+            alive = search.survivors(only_m)[0]
+            assert {_block_key(search.cand[0][k]): c for k, c in alive.items()} == want
+            assert list(alive) == sorted(alive)
+
+
 def test_hom_boundary_image_size_matches_naive(ring, rng):
     for X, Y in _small_pairs(ring, rng, _hom1_exponent, 6):
         assert hom_boundary_image_size(X, Y) == naive_hom_image_size(X, Y)
