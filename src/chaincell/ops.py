@@ -12,12 +12,14 @@ byte for byte:
 * shift by i multiplies every differential by (-1)^i;
 * the cone differential is [[d_Y, f], [0, -d_X]] with the Y block first;
 * tensor summands are ordered lexicographically in (i, j), i ascending;
-* the hom differential out of degree n is f |-> d_Y f + (-1)^(n-1) f d_X,
-  which makes the boundary of a degree-1 element an honest chain map.
+* Hom(X, Y)_n is (Y (x) X*)_(n + top), and the signs of the dual X* make
+  its differential f |-> d_Y f + (-1)^(n-1) f d_X, so the boundary of a
+  degree-1 element is an honest chain map.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass
 from typing import Optional
@@ -113,6 +115,15 @@ def compose(f: ChainMap, g: ChainMap) -> ChainMap:
 # shift
 
 
+def _regraded(X: ChainComplex, i: int) -> ChainComplex:
+    """X with degree n moved to n + i and every differential times (-1)^i;
+    for i < 0 the ranks below -i must vanish."""
+    ranks = (0,) * i + X.ranks[max(-i, 0) :]
+    zeros = [linalg.zeros(X.ring, ranks[n - 1], ranks[n]) for n in range(1, i + 1)]
+    own = [linalg.neg(d) if i % 2 else d for d in X.diffs[max(-i, 0) :]]
+    return _inherit_verdict(ChainComplex(X.ring, ranks, tuple(zeros + own)), X)
+
+
 def shift(X: ChainComplex, i: int) -> ChainComplex:
     """Suspension: degrees move up by i, differentials pick up (-1)^i."""
     if i < 0:
@@ -120,15 +131,7 @@ def shift(X: ChainComplex, i: int) -> ChainComplex:
     if i == 0 or X.is_empty():
         return X
     _check_degrees(i + len(X.ranks))
-    ranks = [0] * i + list(X.ranks)
-    diffs = []
-    for n in range(1, len(ranks)):
-        if n <= i:
-            diffs.append(linalg.zeros(X.ring, ranks[n - 1], ranks[n]))
-        else:
-            d = X.d(n - i)
-            diffs.append(linalg.neg(d) if i % 2 else d)
-    return _inherit_verdict(ChainComplex(X.ring, tuple(ranks), tuple(diffs)), X)
+    return _regraded(X, i)
 
 
 def desuspend(X: ChainComplex, i: int) -> ChainComplex:
@@ -139,12 +142,7 @@ def desuspend(X: ChainComplex, i: int) -> ChainComplex:
         return X
     if any(X.rank(n) for n in range(i)):
         raise UsageError(f"complex has nonzero rank below degree {i}")
-    ranks = list(X.ranks[i:])
-    diffs = []
-    for n in range(1, len(ranks)):
-        d = X.d(n + i)
-        diffs.append(linalg.neg(d) if i % 2 else d)
-    return _inherit_verdict(make_complex(X.ring, ranks, diffs, check=False), X)
+    return _regraded(X, -i)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +289,34 @@ def _rank_products(a, b) -> list:
     return out
 
 
-def _nonzero_pairs(a, b):
-    """The pairs (i, j) with a[i] and b[j] nonzero, i ascending, then j."""
-    nz_b = [j for j, r in enumerate(b) if r]
-    return ((i, j) for i, r in enumerate(a) if r for j in nz_b)
+def _tensor_diffs(X: ChainComplex, Y: ChainComplex, degrees) -> list:
+    """d_m of X (x) Y for each m in ``degrees``, one Kronecker block per pair.
+
+    Blocks are listed only for pairs of nonzero ranks and looked up by
+    degree, so a degree past the ends gets a matrix of empty blocks.
+    """
+    ring = X.ring
+    rx, ry = X.ranks, Y.ranks
+    blocks = collections.defaultdict(list)  # (i, j) with i + j = m, i ascending
+    nz_x, nz_y = ([k for k, r in enumerate(rs) if r] for rs in (rx, ry))
+    for i in nz_x:
+        for j in nz_y:
+            blocks[i + j].append((i, j))
+    eye = functools.cache(_eye)  # one identity per size, made when first needed
+    diffs = []
+    for m in degrees:
+        row_of = {ij: k for k, ij in enumerate(blocks[m - 1])}
+        nonzero = {}
+        for c, (i, j) in enumerate(blocks[m]):
+            if (i - 1, j) in row_of:  # d_X (x) 1
+                nonzero[(row_of[(i - 1, j)], c)] = _kron_id(ring, X.diffs[i - 1].data, eye(ry[j]))
+            if (i, j - 1) in row_of:  # (-1)^i 1 (x) d_Y
+                d_Y = Y.diffs[j - 1].data
+                nonzero[(row_of[(i, j - 1)], c)] = _id_kron(ring, eye(rx[i]), d_Y, i % 2)
+        rows = [rx[i] * ry[j] for i, j in blocks[m - 1]]
+        cols = [rx[i] * ry[j] for i, j in blocks[m]]
+        diffs.append(linalg.from_blocks(ring, rows, cols, nonzero))
+    return diffs
 
 
 def tensor(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
@@ -308,27 +330,11 @@ def tensor(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
     ring = X.ring
     if X.is_empty() or Y.is_empty():
         return empty(ring)
-    rx, ry = X.ranks, Y.ranks
-    n_degrees = len(rx) + len(ry) - 1
+    n_degrees = len(X.ranks) + len(Y.ranks) - 1
     _check_degrees(n_degrees)
-    ranks = _rank_products(rx, ry)
+    ranks = _rank_products(X.ranks, Y.ranks)
     _check_cells(ranks)
-    blocks = [[] for _ in range(n_degrees)]  # (i, j) with i + j = n, i ascending
-    for i, j in _nonzero_pairs(rx, ry):
-        blocks[i + j].append((i, j))
-    dims = [[rx[i] * ry[j] for i, j in bs] for bs in blocks]
-    eye = functools.cache(_eye)  # one identity per size, made when first needed
-    diffs = []
-    for n in range(1, n_degrees):
-        row_of = {ij: k for k, ij in enumerate(blocks[n - 1])}
-        nonzero = {}
-        for c, (i, j) in enumerate(blocks[n]):
-            if (i - 1, j) in row_of:  # d_X (x) 1
-                nonzero[(row_of[(i - 1, j)], c)] = _kron_id(ring, X.diffs[i - 1].data, eye(ry[j]))
-            if (i, j - 1) in row_of:  # (-1)^i 1 (x) d_Y
-                d_Y = Y.diffs[j - 1].data
-                nonzero[(row_of[(i, j - 1)], c)] = _id_kron(ring, eye(rx[i]), d_Y, i % 2)
-        diffs.append(linalg.from_blocks(ring, dims[n - 1], dims[n], nonzero))
+    diffs = _tensor_diffs(X, Y, range(1, n_degrees))
     return _inherit_verdict(make_complex(ring, ranks, diffs, check=False), X, Y)
 
 
@@ -367,34 +373,20 @@ def _hom_ranks(X: ChainComplex, Y: ChainComplex) -> list:
     return _rank_products(X.ranks[::-1], Y.ranks)[X.top :]
 
 
-def _hom_blocks(X: ChainComplex, Y: ChainComplex) -> list:
-    """Per n up to one past ``_hom_ranks``, the source degrees i of the
-    nonzero blocks X_i -> Y_(i+n), ascending."""
-    blocks = [[] for _ in range(max(Y.top + 2, 2))]
-    for i, j in _nonzero_pairs(X.ranks, Y.ranks):
-        if j >= i:
-            blocks[j - i].append(i)
-    return blocks
-
-
-def _hom_diff(X: ChainComplex, Y: ChainComplex, n: int, blocks) -> MatrixR:
-    """Matrix of Hom_n -> Hom_{n-1}, blocks indexed by source degree i."""
-    ring = X.ring
-    src_blocks, tgt_blocks = blocks[n], blocks[n - 1]
-    row_of = {i: k for k, i in enumerate(tgt_blocks)}
-    nonzero = {}
-    for c, i in enumerate(src_blocks):
-        if i in row_of:  # d_Y (x) 1
-            nonzero[(row_of[i], c)] = _kron_id(ring, Y.diffs[i + n - 1].data, _eye(X.rank(i)))
-        if i + 1 in row_of:  # (-1)^(n-1) 1 (x) d_X^T
-            d_X = X.diffs[i].data.T
-            nonzero[(row_of[i + 1], c)] = _id_kron(ring, _eye(Y.rank(i + n)), d_X, (n - 1) % 2)
-    rows = [Y.rank(i + n - 1) * X.rank(i) for i in tgt_blocks]
-    cols = [Y.rank(i + n) * X.rank(i) for i in src_blocks]
-    return linalg.from_blocks(ring, rows, cols, nonzero)
+def _dual(X: ChainComplex) -> ChainComplex:
+    """X* = Hom(X, R): X*_k = X_(top-k)*, d*_k = (-1)^(top-k+1) d_(top-k+1)^T."""
+    diffs = [MatrixR(X.ring, d.data.T) for d in X.diffs]
+    diffs = [linalg.neg(d) if n % 2 else d for n, d in enumerate(diffs, 1)]
+    return make_complex(X.ring, X.ranks[::-1], diffs[::-1], check=False)
 
 
 def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
+    """Hom(X, Y), with Hom_n = (Y (x) X*)_(n + X.top) for n >= 1.
+
+    The cells are counted, then both guards checked (Hom_0's count, then
+    Hom_1's) before either enumeration runs.  ``full`` is set when X is
+    concentrated in degree 0 or empty.
+    """
     if X.ring != Y.ring:
         raise UsageError("ring mismatch in hom")
     require_valid(X)
@@ -415,15 +407,15 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
     degree0 = _oracle.chain_map_module(X, Y, guard)
 
     # Hom_n -> Hom_(n-1) for n >= 2; the positive part has Hom_0 = 0, and
-    # from a source in degree 0 the full complex adds d_1 = _hom_diff(X, Y, 1, ...)
+    # from a source in degree 0 the full complex adds d_1
     ring = X.ring
-    blocks = _hom_blocks(X, Y)
-    diffs = [_hom_diff(X, Y, n, blocks) for n in range(2, len(pos_ranks))]
+    dual = _dual(X)
+    diffs = _tensor_diffs(Y, dual, [n + X.top for n in range(2, len(pos_ranks))])
     d1 = [linalg.zeros(ring, 0, pos_ranks[1])] if len(pos_ranks) > 1 else []
     positive = _inherit_verdict(make_complex(ring, pos_ranks, d1 + diffs, check=False), X, Y)
 
     full = None
     if X.top <= 0:
-        full_diffs = [_hom_diff(X, Y, 1, blocks)] + diffs
+        full_diffs = _tensor_diffs(Y, dual, [X.top + 1]) + diffs
         full = _inherit_verdict(make_complex(ring, full_ranks, full_diffs, check=False), X, Y)
     return HomComplex(X, Y, degree0, positive, d1_image_size, full)

@@ -316,8 +316,9 @@ def cross_check(X: ChainComplex, A: ChainComplex, guard: SizeGuard = SizeGuard()
     Otherwise both sides are desuspended by the bottom degree of A
     (which preserves the relation), and when X's homology starts below
     A's the relation already fails for support reasons.  Each input is
-    minimized once for the lattice verdict and the desuspended pair; the
-    minimal model of A must start where its elementwise homology does.
+    minimized once for the lattice verdict and the desuspended pair
+    (``exists_h0_epi`` minimizes its generator again, for its hypothesis);
+    the minimal model of A must start where its elementwise homology does.
     """
     check_same_ring(X, A)
     mx, ma = minimize(X), minimize(A)

@@ -221,8 +221,9 @@ def test_hom_diff_matches_grid_assembly(ring, rng):
     cs = _complexes(ring, rng)
     for X in cs:
         for Y in cs[::2]:
-            for n in range(2, Y.top + 1):
-                got = ops._hom_diff(X, Y, n, ops._hom_blocks(X, Y))
+            # Hom_n -> Hom_(n-1) is d_(n + X.top) of Y (x) X*, from Hom_0 -> Hom_-1 up
+            for n in range(0, Y.top + 2):
+                got = ops._tensor_diffs(Y, ops._dual(X), [X.top + n])[0]
                 want = _reference_hom_diff(X, Y, n)
                 assert (got.data.dtype, got.data.shape) == (want.data.dtype, want.data.shape)
                 assert got.data.tobytes() == want.data.tobytes()
@@ -241,7 +242,7 @@ def test_hom_positive_matches_grid_assembly(ring, rng):
 
 
 def test_hom_full_matches_kron_with_identity(ring, rng):
-    # from a source in degree 0 the full complex takes d_1 = _hom_diff(X, Y, 1, ...)
+    # from a source in degree 0 the full complex takes d_1 of Y (x) X*
     # and the positive part's d_2, d_3, ...: byte for byte kron(d_Y, 1_a)
     cs = [c for c in _complexes(ring, rng) if c.total_rank <= 3]
     sources = [c for c in cs if c.top <= 0] + [sphere(ring, 0), empty(ring)]

@@ -281,7 +281,7 @@ def test_refused_hom_builds_nothing(ring, monkeypatch):
     def no_build(*args):
         raise AssertionError("hom built its positive part before the guard")
 
-    monkeypatch.setattr(ops, "_hom_diff", no_build)
+    monkeypatch.setattr(ops, "_tensor_diffs", no_build)
     with pytest.raises(GuardExceeded):
         hom_complex(X, Y, SizeGuard(ring.size))
     with pytest.raises(GuardExceeded):
