@@ -57,7 +57,6 @@ from .oracle import (
     cross_check,
     enumerate_chain_maps,
     exists_h0_epi,
-    random_extension,
 )
 from .reduce import (
     Decomposition,
@@ -72,6 +71,7 @@ from .reduce import (
     rho_table,
     verify_certificates,
 )
+from .randgen import random_extension
 from .ring import RingElement, RingSpec, lift, parse_ring, times_r
 
 __version__ = "0.1.0"

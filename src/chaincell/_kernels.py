@@ -19,9 +19,10 @@ plane.  ``_ring_op`` holds that rule, and every arithmetic over R below
 goes through it; ``echelon_mod`` and ``rank_mod`` work over the residue
 field F_p.
 
-``echelon_mod`` is the one F_p elimination: a per-pivot loop that skips
-a pivot's trailing update when the pivot is the only nonzero in its
-column, since the update would then touch the pivot row alone.  After
+``echelon_mod`` is the one F_p elimination: a per-pivot loop that
+applies every pivot's trailing update, a lone pivot's too (it then
+touches the pivot row alone; a test for that on every pivot would spare
+few updates, as nearly every pivot has others in its column).  After
 two columns in a row without a pivot it tests all later columns at once
 on the rows not yet pivot rows, and stops when they vanish mod p: every
 pivot's update already reached them, so nothing would change.  With
@@ -218,8 +219,7 @@ def echelon_mod(M, p, carry=False):
             end += 1
         # the pivot row is zero mod p left of c, so columns < c need no update
         row = AT[c:end, pr] * inverse[col[pr]] % p
-        if nz.size > 1 or col[perm[:r]].any():  # else the update touches row pr alone
-            AT[c:end] -= row[:, None] * col
+        AT[c:end] -= row[:, None] * col
         AT[c:end, pr] = row
         pivot_cols.append(c)
         r += 1

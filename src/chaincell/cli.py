@@ -267,7 +267,7 @@ def _cmd_crosscheck(args):
 def _cmd_extension(args):
     X = _load(args, "file_x")
     Z = _load(args, "file_z")
-    ext = oracle.random_extension(X, Z, seed=args.seed)
+    ext = randgen.random_extension(X, Z, seed=args.seed)
     obj = {
         "total": serialize.complex_to_dict(ext.total),
         "inclusion": serialize.chain_map_to_dict(ext.inclusion),

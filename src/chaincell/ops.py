@@ -80,12 +80,11 @@ def is_chain_map(f: ChainMap) -> Optional[str]:
     return None
 
 
-def make_chain_map(source, target, mats, check: bool = True) -> ChainMap:
+def make_chain_map(source, target, mats) -> ChainMap:
     f = ChainMap(source, target, tuple(mats))
-    if check:
-        problem = is_chain_map(f)
-        if problem is not None:
-            raise UsageError(f"not a chain map: {problem}")
+    problem = is_chain_map(f)
+    if problem is not None:
+        raise UsageError(f"not a chain map: {problem}")
     return f
 
 
@@ -362,7 +361,8 @@ class HomComplex:
 
 
 def _hom_rank(X: ChainComplex, Y: ChainComplex, n: int) -> int:
-    return sum(X.rank(i) * Y.rank(i + n) for i in range(X.top + 1))
+    """The rank of Hom(X, Y)_n, the sum of X_i * Y_(i+n), off the rank tuples."""
+    return sum(a * b for a, b in zip(X.ranks[max(-n, 0):], Y.ranks[max(n, 0):]))
 
 
 def _hom_ranks(X: ChainComplex, Y: ChainComplex) -> list:

@@ -24,8 +24,9 @@ unpruned candidate count, not against what the pruning actually visits.
 Each such count is a power of |R|, compared by its exponent, so a count
 far above the guard is refused without being built.
 
-``random_extension`` samples connecting blocks through ``ops.extension``,
-the one builder of extensions and cones.
+Only ``cross_check``, which compares the decision procedure with the
+criterion, reads ``reduce`` or ``lattice``; everything else here is
+enumeration, independent of the shortcuts it checks.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .complexes import (
     ModuleDescriptor,
     _all_vectors,
     _boundaries,
-    _check_cells,
     _codes,
     _power_at_most,
     brute_homology,
@@ -51,9 +51,9 @@ from .complexes import (
     require_valid,
 )
 from .errors import ChaincellError, DomainError, GuardExceeded, UsageError
-from .lattice import _cellular_verdict, _min_pair
+from .lattice import is_cellular
 from .linalg import MatrixR
-from .ops import ChainMap, Extension, _extension_cells, _hom_rank, desuspend, extension, shift
+from .ops import ChainMap, _hom_rank, desuspend, shift
 from .reduce import minimize
 from .ring import check_same_ring
 
@@ -240,20 +240,23 @@ def exists_h0_epi(A: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard
     f_0 are not closed under r; all of them together are, as the
     degree-0 parts of the module of chain maps.
 
-    Requires H_0(A) != 0 (the surjectivity criterion's hypothesis);
-    desuspend the pair first when the bottom degree is positive.
+    Requires H_0(A) != 0 (the surjectivity criterion's hypothesis),
+    checked elementwise: H_0(A) = A_0 / im d_1 vanishes exactly when
+    every vector of A_0 is a boundary.  Desuspend the pair first when
+    the bottom degree is positive.
     """
     check_same_ring(A, Y)
-    bottom = minimize(A).bottom  # minimize validates A
+    require_valid(A)
     require_valid(Y)
-    if bottom != 0:  # nothing lies below it, so H_0(A) != 0 exactly when it is 0
+    ring = Y.ring
+    p, fl = ring.p, ring.flavor_code
+    for Z, of in ((Y, ""), (A, " of the generator")):  # Y's tables first
+        guard.check(f"H0 coset table{of}", ring.size, Z.rank(0))
+        guard.check(f"H0 boundary enumeration{of}", ring.size, Z.rank(1))
+    if _boundaries(A, 0).all():
         raise DomainError(
             "H_0 of the generator vanishes; desuspend the pair before testing"
         )
-    ring = Y.ring
-    p, fl = ring.p, ring.flavor_code
-    guard.check("H0 coset table", ring.size, Y.rank(0))
-    guard.check("H0 boundary enumeration", ring.size, Y.rank(1))
     span = _boundaries(Y, 0)  # over the codes of Y_0; starts as im d_1
     if span.all():
         return True
@@ -316,13 +319,14 @@ def cross_check(X: ChainComplex, A: ChainComplex, guard: SizeGuard = SizeGuard()
     Otherwise both sides are desuspended by the bottom degree of A
     (which preserves the relation), and when X's homology starts below
     A's the relation already fails for support reasons.  Each input is
-    minimized once for the lattice verdict and the desuspended pair
-    (``exists_h0_epi`` minimizes its generator again, for its hypothesis);
-    the minimal model of A must start where its elementwise homology does.
+    minimized once; the lattice verdict is read from the public
+    ``is_cellular`` on the two minimal parts, where minimizing again is
+    only a scan, and the desuspended pair comes from them too.  The
+    minimal model of A must start where its elementwise homology does.
     """
     check_same_ring(X, A)
     mx, ma = minimize(X), minimize(A)
-    lattice_verdict = _cellular_verdict(_min_pair(mx), _min_pair(ma)).holds
+    lattice_verdict = is_cellular(mx.minimal, ma.minimal).holds
     bottom_a = _brute_bottom(A, guard)
     if ma.bottom != bottom_a:
         raise ChaincellError(
@@ -345,33 +349,3 @@ def cross_check(X: ChainComplex, A: ChainComplex, guard: SizeGuard = SizeGuard()
             oracle_verdict = exists_h0_epi(a_down, x_down, guard)
             route = f"h0-epi-desuspended-{bottom_a}"
     return CrossCheck(lattice_verdict, oracle_verdict, lattice_verdict == oracle_verdict, route)
-
-
-# ---------------------------------------------------------------------------
-# extensions
-
-
-def random_extension(X: ChainComplex, Z: ChainComplex, seed: int, attempts: int = 64) -> Extension:
-    """Extension of Z by X with a randomly sampled connecting block.
-
-    Rejection-samples uniform blocks through ``extension`` within the
-    attempt budget; the zero block always works on valid inputs, so the
-    fallback keeps this total, and raises what invalid inputs fail.  The
-    blocks it would draw count toward the cell cap with what
-    ``extension`` writes, before the first draw.
-    """
-    degrees = [n for n in range(1, Z.top + 1) if Z.rank(n) and X.rank(n - 1)]
-    drawn = sum(X.rank(n - 1) * Z.rank(n) for n in degrees)
-    _check_cells(extra=_extension_cells(X, Z) + drawn)
-    rng = np.random.default_rng(seed)
-    size = X.ring.size
-    for _ in range(attempts):
-        hs = {
-            n: rng.integers(0, size, size=(X.rank(n - 1), Z.rank(n)), dtype=np.int64)
-            for n in degrees
-        }
-        try:
-            return extension(X, Z, hs, seed=seed)
-        except UsageError:
-            continue
-    return extension(X, Z, {}, seed=seed)

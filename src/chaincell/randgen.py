@@ -6,6 +6,8 @@ ideal, which makes d*d = 0 automatic (r*r = 0), so every draw is valid.
 complex validates.  Conjugation by random invertible basis changes
 turns block-diagonal inputs into messy but isomorphic ones; that is how
 the suites produce complexes whose disks are not visible by inspection.
+``random_extension`` samples connecting blocks through ``ops.extension``,
+the one builder of extensions and cones.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .complexes import (
 )
 from .errors import DomainError, InvalidComplexError, UsageError
 from .linalg import MatrixR
-from .ops import direct_sum_all
+from .ops import Extension, _extension_cells, direct_sum_all, extension
 from .ring import RingSpec
 
 
@@ -126,3 +128,29 @@ def random_interval_sum(
         parts.append(interval(ring, i, j))
     total = direct_sum_all(ring, parts)
     return conjugated(total, rng) if scramble else total
+
+
+def random_extension(X: ChainComplex, Z: ChainComplex, seed: int, attempts: int = 64) -> Extension:
+    """Extension of Z by X with a randomly sampled connecting block.
+
+    Rejection-samples uniform blocks through ``extension`` within the
+    attempt budget; the zero block always works on valid inputs, so the
+    fallback keeps this total, and raises what invalid inputs fail.  The
+    blocks it would draw count toward the cell cap with what
+    ``extension`` writes, before the first draw.
+    """
+    degrees = [n for n in range(1, Z.top + 1) if Z.rank(n) and X.rank(n - 1)]
+    drawn = sum(X.rank(n - 1) * Z.rank(n) for n in degrees)
+    _check_cells(extra=_extension_cells(X, Z) + drawn)
+    rng = np.random.default_rng(seed)
+    size = X.ring.size
+    for _ in range(attempts):
+        hs = {
+            n: rng.integers(0, size, size=(X.rank(n - 1), Z.rank(n)), dtype=np.int64)
+            for n in degrees
+        }
+        try:
+            return extension(X, Z, hs, seed=seed)
+        except UsageError:
+            continue
+    return extension(X, Z, {}, seed=seed)

@@ -111,10 +111,12 @@ def complex_from_dict(data, ring_override: RingSpec = None) -> ChainComplex:
 
 
 def _read_json(path):
-    with open(path) as fh:
+    """The JSON value in a UTF-8 file; a file that is not UTF-8, not JSON,
+    or nested too deep to parse is invalid input."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InvalidComplexError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -27,8 +27,8 @@ from chaincell.ops import (
     shift,
     tensor,
 )
-from chaincell.oracle import SizeGuard, cross_check, enumerate_chain_maps, random_extension
-from chaincell.randgen import random_interval_sum
+from chaincell.oracle import SizeGuard, cross_check, enumerate_chain_maps
+from chaincell.randgen import random_extension, random_interval_sum
 from chaincell.reduce import decompose, minimize, rho_table, verify_certificates
 from chaincell.ring import RingSpec
 

@@ -213,6 +213,28 @@ def test_cli_validate_reports_parser_refusals(tmp_path, capsys, text, diagnostic
     assert captured.err == f"invalid input: {out['diagnostic']}\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "decompose", "cone"])
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-100000-deep"],
+)
+def test_cli_unreadable_json_exit_3(tmp_path, capsys, command, content):
+    # both loaders (complex and chain map) refuse these as invalid input,
+    # whatever the locale, not as internal errors (exit 5)
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert cli.run([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid input:"), captured.err
+    assert "not valid JSON" in lines[0]
+    if command == "validate":
+        assert json.loads(captured.out)["ok"] is False
+    else:
+        assert captured.out == ""
+
+
 # one call of every subcommand, on valid inputs
 EVERY_SUBCOMMAND = [
     ["validate", "E01"],

@@ -5,10 +5,9 @@ Only ``InvalidComplexError`` or ``UsageError`` may leave
 JSON files must exit with a documented code in {0, 1, 2, 3, 4} and
 print no traceback.
 
-Ranks stay at most 4 here.  The CLI does not yet check a total-rank cap
-before it allocates (a file declaring rank 200000 still reaches
-``minimize``), so large ranks are kept out of this suite on purpose; it
-is not a test of that cap.
+Ranks stay at most 4 here, to keep the examples small.  The loader's
+refusal of a file with more than ``MAX_CELLS`` generators is tested
+elsewhere, not by this suite.
 """
 
 import contextlib

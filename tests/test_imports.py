@@ -4,6 +4,10 @@ and no module-level helper is dead.
 An import inside a function body hides a dependency cycle between
 modules.  The one left, ``ops.hom_complex`` reaching the enumeration
 oracle, goes when Hom is computed by linear algebra.
+
+The oracle's enumerations stay independent of the shortcuts they check:
+only ``oracle.cross_check`` names what ``oracle`` imports from ``reduce``
+or ``lattice``.
 """
 
 import ast
@@ -53,6 +57,28 @@ def test_no_unused_imports():
                 if name not in read:
                     unused.append(f"{path.stem}.{name}")
     assert not unused, unused
+
+
+def test_oracle_reads_no_shortcut_outside_cross_check():
+    # the enumerations check the decision procedure, so none of them may
+    # name what oracle imports from reduce or lattice; only cross_check,
+    # which compares the two sides, does
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    shortcuts = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom):
+            for alias in stmt.names:
+                # from .reduce import name, or from . import reduce
+                if stmt.module in ("reduce", "lattice") or (
+                    stmt.module is None and alias.name in ("reduce", "lattice")
+                ):
+                    shortcuts.add(alias.asname or alias.name)
+    assert shortcuts  # the test reads the imports it means to
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name != "cross_check":
+            found += [(stmt.name, name) for name in sorted(_referenced(stmt) & shortcuts)]
+    assert not found, found
 
 
 def _defined(stmt):

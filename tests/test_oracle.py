@@ -26,11 +26,9 @@ from chaincell.oracle import (
     cross_check,
     enumerate_chain_maps,
     exists_h0_epi,
-    extension,
     hom_boundary_image_size,
-    random_extension,
 )
-from chaincell.randgen import conjugated
+from chaincell.randgen import conjugated, random_extension
 from chaincell.ring import RingSpec
 
 from conftest import bounded_random_complex, entry, unvalidated
@@ -545,6 +543,20 @@ def test_guard_refusals_keep_order_and_required():
         "hom degree-1 enumeration",
     )
     assert hom_boundary_image_size(X, W, SizeGuard(64)) == naive_hom_image_size(X, W) == 1
+
+
+def test_exists_h0_epi_guards_the_generator_tables_before_its_hypothesis():
+    # the elementwise H_0(A) != 0 check reads A's two tables, guarded after Y's
+    Y = make_complex(Z4, [1], [])
+    A = make_complex(Z4, [3], [])
+    assert _refusal(exists_h0_epi, A, Y, SizeGuard(63)) == (64, "H0 coset table of the generator")
+    A0 = make_complex(Z4, [0, 3], [linalg.zeros(Z4, 0, 3)])  # H_0(A0) = 0
+    assert _refusal(exists_h0_epi, A0, Y, SizeGuard(63)) == (
+        64,
+        "H0 boundary enumeration of the generator",
+    )
+    with pytest.raises(DomainError, match="H_0 of the generator vanishes"):
+        exists_h0_epi(A0, Y, SizeGuard(64))
 
 
 def _restricted_f0(monkeypatch, keep):
