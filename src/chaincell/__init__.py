@@ -58,6 +58,7 @@ from .oracle import (
     enumerate_chain_maps,
     exists_h0_epi,
 )
+from .randgen import random_extension
 from .reduce import (
     Decomposition,
     MinimizeResult,
@@ -71,7 +72,6 @@ from .reduce import (
     rho_table,
     verify_certificates,
 )
-from .randgen import random_extension
 from .ring import RingElement, RingSpec, lift, parse_ring, times_r
 
 __version__ = "0.1.0"
