@@ -9,6 +9,7 @@ brute-force oracles recheck every shortcut at the level of elements.
 from .complexes import (
     ChainComplex,
     ModuleDescriptor,
+    SizeGuard,
     brute_homology,
     disk,
     empty,
@@ -52,7 +53,6 @@ from .ops import (
 )
 from .oracle import (
     CrossCheck,
-    SizeGuard,
     chain_map_module,
     cross_check,
     enumerate_chain_maps,

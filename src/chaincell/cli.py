@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every subcommand takes ``--ring`` and ``--output``; only ``rand``,
-``crosscheck`` and ``extension`` take ``--seed``, and only ``hom`` and
-``crosscheck`` take ``--guard``.  Every file goes through the one
+Every subcommand takes ``--ring`` and ``--output``; only ``rand`` and
+``extension`` take ``--seed``, and only ``hom`` and ``crosscheck`` take
+``--guard``, the one ``complexes.SizeGuard`` budget of every
+enumeration they run.  Every file goes through the one
 loader; ``validate`` also reports on stdout whatever it refuses, and every
 subcommand words the refusal of an invalid file the same way on stderr.
 
@@ -57,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=_count, default=0, help="random seed")
     guard = argparse.ArgumentParser(add_help=False)
     guard.add_argument(
-        "--guard", type=_count, default=oracle.SizeGuard.max_search_space,
+        "--guard", type=_count, default=complexes.SizeGuard.max_search_space,
         help="enumeration budget (default %(default)s)",
     )
 
@@ -93,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rand_p.add_argument("--max-rank", type=_count, default=3)
     rand_p.add_argument("--allow-units", action="store_true")
     add("crosscheck", "file_x", "file_a", help="lattice verdict vs brute-force H0 criterion",
-        flags=[seed, guard])
+        flags=[guard])
     add("extension", "file_x", "file_z", help="random extension of Z by X", flags=[seed])
     return parser
 
@@ -200,7 +201,7 @@ def _cmd_tensor(args):
 def _cmd_hom(args):
     X = _load(args, "file_x")
     Y = _load(args, "file_y")
-    h = ops.hom_complex(X, Y, guard=oracle.SizeGuard(args.guard))
+    h = ops.hom_complex(X, Y, guard=complexes.SizeGuard(args.guard))
     lines = [
         f"degree 0 module: {h.degree0}",
         f"positive-degree ranks: {list(h.positive.ranks)}",
@@ -253,8 +254,8 @@ def _cmd_rand(args):
 def _cmd_crosscheck(args):
     X = _load(args, "file_x")
     A = _load(args, "file_a")
-    result = oracle.cross_check(X, A, oracle.SizeGuard(args.guard))
-    report = [result.to_json(pair=[args.file_x, args.file_a], seed=args.seed)]
+    result = oracle.cross_check(X, A, complexes.SizeGuard(args.guard))
+    report = [result.to_json(pair=[args.file_x, args.file_a])]
     lines = [
         f"lattice verdict: {result.lattice_verdict}",
         f"oracle verdict:  {result.oracle_verdict} (route: {result.route})",

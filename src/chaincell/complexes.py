@@ -13,6 +13,10 @@ Homology groups over these rings are always of the form R^a (+) k^b
 (``ModuleDescriptor``); ``reduce.homology`` reads them off the barcode,
 and ``brute_homology`` recomputes them by elementwise enumeration so the
 shortcut can be checked against the definition.
+
+The resource caps live here: ``MAX_DEGREES`` and ``MAX_CELLS`` for what
+is built, and ``SizeGuard`` for what every brute-force enumeration,
+here and in ``oracle``, visits.
 """
 
 from __future__ import annotations
@@ -28,14 +32,13 @@ from .errors import ChaincellError, DomainError, GuardExceeded, InvalidComplexEr
 from .linalg import MatrixR
 from .ring import RingSpec
 
-BRUTE_WORK_LIMIT = 1 << 20
 # A complex spans at most this many degrees.  Building one costs about
 # 13 us and 0.4 KB a degree, so the cap is checked before anything is built.
 MAX_DEGREES = 1 << 16
-# ``sum``, ``cone``, ``extension``, ``tensor``, ``hom`` and the random
-# complexes build at most this many dense cells (512 MB as int64), counted
-# from the ranks before anything is built; a file's ranks sum to at most
-# this many generators.
+# Interval sums, ``sum``, ``cone``, ``extension``, ``tensor``, ``hom`` and
+# the random complexes build at most this many dense cells (512 MB as
+# int64), counted from the ranks before anything is built; a file's ranks
+# sum to at most this many generators.
 MAX_CELLS = 1 << 26
 # A refused count above this is too large to build; its ``.required`` is None.
 EXACT_REQUIRED = 1 << 64
@@ -160,6 +163,48 @@ def _check_cells(*rank_lists, extra: int = 0):
         raise GuardExceeded(f"{cells} cells exceed the cap of {MAX_CELLS}", required=cells)
 
 
+def _power_at_most(base: int, exponent: int, limit: int):
+    """base**exponent when it is at most limit, else None.
+
+    Decided by the exponent first: with base >= 2 the power passes limit
+    once exponent reaches limit's bit length, so no power far above
+    limit is ever built.
+    """
+    if exponent >= max(limit, 1).bit_length():
+        return None
+    power = base**exponent
+    return power if power <= limit else None
+
+
+@dataclass(frozen=True)
+class SizeGuard:
+    """Upper bound on the candidates one brute-force enumeration visits.
+
+    A count is a sum of powers of |R|, decided by its exponents first, so
+    no count far above the guard is ever built.  A refusal prints one
+    power as such (``4^7225``), and a sum exactly up to
+    ``EXACT_REQUIRED`` and as ``at least 4^N`` above it.
+    """
+
+    max_search_space: int = 1 << 20
+
+    def check(self, what: str, base: int, *exponents: int):
+        """Refuse the sum of base**e over the exponents above the guard."""
+        limit = max(self.max_search_space, EXACT_REQUIRED)
+        terms = [_power_at_most(base, e, limit) for e in exponents]
+        count = None if None in terms or sum(terms) > limit else sum(terms)
+        if count is None or count > self.max_search_space:
+            if len(exponents) == 1:
+                text = f"{base}^{exponents[0]}"
+            else:
+                text = count if count is not None else f"at least {base}^{max(exponents)}"
+            raise GuardExceeded(
+                f"{what} needs {text} candidates; guard allows "
+                f"{self.max_search_space} (raise the guard to proceed)",
+                required=count,
+            )
+
+
 # ---------------------------------------------------------------------------
 # canonical constructors
 
@@ -214,6 +259,7 @@ def interval_sum(ring: RingSpec, intervals, disks=()) -> ChainComplex:
             if n > lo:
                 entries[n].append((ranks[n - 1] - 1, ranks[n], value))
             ranks[n] += 1
+    _check_cells(ranks)
     diffs = []
     for n in range(1, len(ranks)):
         data = np.zeros((ranks[n - 1], ranks[n]), dtype=np.int64)
@@ -310,46 +356,15 @@ def _boundaries(X: ChainComplex, n: int) -> np.ndarray:
     return table
 
 
-def _power_at_most(base: int, exponent: int, limit: int):
-    """base**exponent when it is at most limit, else None.
-
-    Decided by the exponent first: with base >= 2 the power passes limit
-    once exponent reaches limit's bit length, so no power far above
-    limit is ever built.
-    """
-    if exponent >= max(limit, 1).bit_length():
-        return None
-    power = base**exponent
-    return power if power <= limit else None
-
-
-def _brute_work(X: ChainComplex, limit: int):
-    """The vectors brute homology enumerates, the sum of |R|^rank over the
-    degrees, when it is at most limit, else None; builds no power above it."""
-    work = 0
-    for r in X.ranks:
-        term = _power_at_most(X.ring.size, r, limit)
-        if term is None:
-            return None
-        work += term
-    return work if work <= limit else None
-
-
-def brute_homology(X: ChainComplex, work_limit: int = BRUTE_WORK_LIMIT) -> list:
+def brute_homology(X: ChainComplex, guard: SizeGuard = SizeGuard()) -> list:
     """H_n by enumerating cycles and boundaries elementwise.
 
     |H_n| = |Z_n| / |B_n| and |ann_r H_n| = |{z in Z_n : r*z in B_n}| / |B_n|,
-    with B_n read from the boundary table of ``_boundaries``.
-    Refuses when the enumeration would exceed work_limit vectors.
+    with B_n read from the boundary table of ``_boundaries``.  The guard
+    counts the vectors of every degree, the sum of |R|^rank.
     """
     require_valid(X)
-    work = _brute_work(X, max(work_limit, EXACT_REQUIRED))
-    if work is None or work > work_limit:
-        text = work if work is not None else f"at least {X.ring.size}^{max(X.ranks)}"
-        raise GuardExceeded(
-            f"brute homology needs {text} vector enumerations; limit {work_limit}",
-            required=work,
-        )
+    guard.check("brute homology", X.ring.size, *X.ranks)
     ring = X.ring
     p, fl = ring.p, ring.flavor_code
     r_enc = np.int64(ring.p)  # encoded generator r

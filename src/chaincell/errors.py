@@ -22,11 +22,12 @@ class InvalidComplexError(ChaincellError, ValueError):
 
 
 class GuardExceeded(ChaincellError, RuntimeError):
-    """A brute-force enumeration, or a complex above the degree or cell cap,
-    was refused before any work; .required holds what it needed.  A
-    count above ``complexes.EXACT_REQUIRED`` (2**64) is never built:
-    .required is then None, and the message gives the count as a power
-    of |R|, such as ``4^7225``."""
+    """A brute-force enumeration above its ``complexes.SizeGuard``, or a
+    complex above the degree or cell cap, was refused before any work;
+    .required holds what it needed.  A count above
+    ``complexes.EXACT_REQUIRED`` (2**64) is never built: .required is
+    then None, and the message gives the count through a power of |R|,
+    such as ``4^7225`` or ``at least 4^7225``."""
 
     def __init__(self, message, required=None):
         super().__init__(message)

@@ -31,6 +31,7 @@ from ._kernels import enc_neg
 from .complexes import (
     ChainComplex,
     ModuleDescriptor,
+    SizeGuard,
     _check_cells,
     _check_degrees,
     _inherit_verdict,
@@ -380,7 +381,7 @@ def _dual(X: ChainComplex) -> ChainComplex:
     return make_complex(X.ring, X.ranks[::-1], diffs[::-1], check=False)
 
 
-def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
+def hom_complex(X: ChainComplex, Y: ChainComplex, guard: SizeGuard = SizeGuard()) -> HomComplex:
     """Hom(X, Y), with Hom_n = (Y (x) X*)_(n + X.top) for n >= 1.
 
     The cells are counted, then both guards checked (Hom_0's count, then
@@ -400,7 +401,6 @@ def hom_complex(X: ChainComplex, Y: ChainComplex, guard=None) -> HomComplex:
     # both guards come before either count, so a refused pair enumerates
     # and builds nothing; the image count goes first, as the shift of X
     # it searches from may meet the degree cap
-    guard = guard if guard is not None else _oracle.SizeGuard()
     guard.check("chain map enumeration", X.ring.size, _hom_rank(X, Y, 0))
     guard.check("hom degree-1 enumeration", X.ring.size, _hom_rank(X, Y, 1))
     d1_image_size = _oracle.hom_boundary_image_size(X, Y, guard)

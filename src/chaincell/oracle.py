@@ -19,10 +19,10 @@ degree-0 component f_0 and their r-multiples, in a boolean table over
 the codes of Y_0 (a vector's code, ``complexes._codes``, is its row
 index in ``_all_vectors``); it never applies f_0 to the vectors of A_0.
 
-Refusals are predictable: the guard is compared against the worst-case
-unpruned candidate count, not against what the pruning actually visits.
-Each such count is a power of |R|, compared by its exponent, so a count
-far above the guard is refused without being built.
+Refusals are predictable: one ``SizeGuard`` (``complexes``) compares
+the worst-case unpruned candidate count, not what the pruning actually
+visits.  Each such count is a sum of powers of |R|, compared by its
+exponents, so a count far above the guard is refused without being built.
 
 Only ``cross_check``, which compares the decision procedure with the
 criterion, reads ``reduce`` or ``lattice``; everything else here is
@@ -39,45 +39,22 @@ import numpy as np
 from . import _kernels
 from ._kernels import enc_add, enc_mul
 from .complexes import (
-    EXACT_REQUIRED,
     ChainComplex,
     ModuleDescriptor,
+    SizeGuard,
     _all_vectors,
     _boundaries,
     _codes,
-    _power_at_most,
     brute_homology,
     module_from_sizes,
     require_valid,
 )
-from .errors import ChaincellError, DomainError, GuardExceeded, UsageError
+from .errors import ChaincellError, DomainError, UsageError
 from .lattice import is_cellular
 from .linalg import MatrixR
 from .ops import ChainMap, _hom_rank, desuspend, shift
-from .reduce import minimize
+from .reduce import minimize, verify_certificates
 from .ring import check_same_ring
-
-
-@dataclass(frozen=True)
-class SizeGuard:
-    """Upper bound on brute-force candidate counts per enumeration.
-
-    Every count it guards is a power of |R|, decided by its exponent, so
-    no count above the guard is ever built; a refusal gives the count as
-    a power, such as ``4^7225``.
-    """
-
-    max_search_space: int = 1 << 20
-
-    def check(self, what: str, base: int, exponent: int):
-        """Refuse base**exponent candidates above the guard."""
-        count = _power_at_most(base, exponent, max(self.max_search_space, EXACT_REQUIRED))
-        if count is None or count > self.max_search_space:
-            raise GuardExceeded(
-                f"{what} needs {base}^{exponent} candidates; guard allows "
-                f"{self.max_search_space} (raise the guard to proceed)",
-                required=count,
-            )
 
 
 def _candidate_matrices(ring, rows: int, cols: int) -> np.ndarray:
@@ -293,20 +270,19 @@ class CrossCheck:
     agree: bool
     route: str
 
-    def to_json(self, pair=None, seed=None) -> dict:
+    def to_json(self, pair=None) -> dict:
         return {
             "pair": pair,
             "latticeVerdict": self.lattice_verdict,
             "oracleVerdict": self.oracle_verdict,
             "agree": self.agree,
             "route": self.route,
-            "seed": seed,
         }
 
 
 def _brute_bottom(X: ChainComplex, guard: SizeGuard) -> Optional[int]:
     """Lowest degree with nonzero homology of X, computed elementwise."""
-    for n, descr in enumerate(brute_homology(X, guard.max_search_space)):
+    for n, descr in enumerate(brute_homology(X, guard)):
         if not descr.is_zero():
             return n
     return None
@@ -321,8 +297,9 @@ def cross_check(X: ChainComplex, A: ChainComplex, guard: SizeGuard = SizeGuard()
     A's the relation already fails for support reasons.  Each input is
     minimized once; the lattice verdict is read from the public
     ``is_cellular`` on the two minimal parts, where minimizing again is
-    only a scan, and the desuspended pair comes from them too.  The
-    minimal model of A must start where its elementwise homology does.
+    only a scan, and the desuspended pair comes from them too, once
+    both pass ``verify_certificates`` against their inputs.  The minimal
+    model of A must start where its elementwise homology does.
     """
     check_same_ring(X, A)
     mx, ma = minimize(X), minimize(A)
@@ -344,6 +321,8 @@ def cross_check(X: ChainComplex, A: ChainComplex, guard: SizeGuard = SizeGuard()
             oracle_verdict = False
             route = "support"
         else:
+            if not (verify_certificates(X, mx) and verify_certificates(A, ma)):
+                raise ChaincellError("a minimal part does not conjugate back to its input")
             a_down = desuspend(ma.minimal, bottom_a)
             x_down = desuspend(mx.minimal, bottom_a)
             oracle_verdict = exists_h0_epi(a_down, x_down, guard)

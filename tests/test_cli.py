@@ -255,8 +255,7 @@ EVERY_SUBCOMMAND = [
 ]
 
 # the flags a subcommand reads besides --ring and --output, which all read
-READS = {"rand": {"--seed"}, "crosscheck": {"--seed", "--guard"}, "extension": {"--seed"},
-         "hom": {"--guard"}}
+READS = {"rand": {"--seed"}, "crosscheck": {"--guard"}, "extension": {"--seed"}, "hom": {"--guard"}}
 
 
 def _every_subcommand_argv(files, tmp_path, argv):
@@ -501,10 +500,25 @@ def test_cli_ops_subcommands(files, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ranks"] == [1, 1, 1]
 
 
+def test_cli_hom_and_crosscheck_refuse_in_one_format(files, capsys):
+    # one --guard sizes brute homology and the chain-map search alike
+    assert cli.run(["crosscheck", files["E02"], files["E01"], "--guard", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "refused: brute homology needs 8 candidates; guard allows 3 (raise the guard to proceed)\n"
+    )
+    assert cli.run(["hom", files["E02"], files["E01"], "--guard", "3"]) == 4
+    assert capsys.readouterr().err == (
+        "refused: chain map enumeration needs 4^2 candidates; guard allows 3 (raise the guard to proceed)\n"
+    )
+
+
 def test_cli_crosscheck_and_extension(files, capsys):
     assert cli.run(["crosscheck", files["E02"], files["E01"]]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report[0]["agree"] is True and report[0]["seed"] == 0
+    assert report == [{"pair": [files["E02"], files["E01"]], "latticeVerdict": True,
+                       "oracleVerdict": True, "agree": True, "route": "h0-epi"}]
 
     assert cli.run(["extension", files["E01"], files["S1"], "--seed", "4"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -665,9 +679,9 @@ def test_cli_refuses_guard_counts_too_large_to_build(
     command, rank, tmp_path, monkeypatch, capsys, no_huge_powers
 ):
     # one degree of this rank: hom needs 4^(rank^2) chain-map candidates,
-    # crosscheck's brute homology 4^rank vectors; each is refused from its
-    # exponent, before any power of |R| past 4^64 or any candidate is
-    # built, and printed as a power
+    # crosscheck's brute homology 4^rank vectors; one guard refuses each
+    # from its exponent, before any power of |R| past 4^64 or any
+    # candidate is built, and prints it as a power
     from chaincell import complexes, oracle
 
     def no_enumeration(*args, **kwargs):
@@ -678,7 +692,7 @@ def test_cli_refuses_guard_counts_too_large_to_build(
     one = _write(tmp_path, "one.json", {"ring": "zpsq:2", "ranks": [rank], "differentials": []})
     assert cli.run([command, one, one]) == 4
     captured = capsys.readouterr()
-    want = f"needs 4^{rank * rank} candidates" if command == "hom" else f"needs at least 4^{rank} vector"
+    want = f"needs 4^{rank * rank if command == 'hom' else rank} candidates"
     assert captured.out == "" and want in captured.err
 
 

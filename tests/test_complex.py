@@ -8,6 +8,7 @@ import pytest
 from chaincell import (
     ChainComplex,
     ModuleDescriptor,
+    SizeGuard,
     brute_homology,
     complexes,
     disk,
@@ -189,16 +190,60 @@ def test_homology_ignores_disk_summands(ring, rng):
 def test_brute_homology_guard_refusal():
     big = make_complex(Z4, [8], [])
     with pytest.raises(GuardExceeded) as exc_info:
-        brute_homology(big, work_limit=100)
+        brute_homology(big, SizeGuard(100))
     assert exc_info.value.required == 4**8
-    # a work count above 2**64 is decided by its exponents, never built
+    # a count above 2**64 is decided by its exponents, never built
     huge = make_complex(Z4, [2, 10**4], [linalg.zeros(Z4, 2, 10**4)])
-    with pytest.raises(GuardExceeded, match=r"needs at least 4\^10000 vector") as exc_info:
-        brute_homology(huge)
+    with pytest.raises(GuardExceeded, match=r"needs at least 4\^10000 candidates") as exc_info:
+        brute_homology(huge, SizeGuard(100))
     assert exc_info.value.required is None
-    with pytest.raises(GuardExceeded, match=r"needs 32 vector") as exc_info:
-        brute_homology(make_complex(Z4, [2, 2], [linalg.zeros(Z4, 2, 2)]), work_limit=31)
+    with pytest.raises(GuardExceeded, match=r"needs 32 candidates") as exc_info:
+        brute_homology(make_complex(Z4, [2, 2], [linalg.zeros(Z4, 2, 2)]), SizeGuard(31))
     assert exc_info.value.required == 32
+    assert brute_homology(make_complex(Z4, [2, 2], [linalg.zeros(Z4, 2, 2)]), SizeGuard(32))
+    # the empty complex enumerates nothing, so no guard refuses it
+    assert brute_homology(empty(Z4), SizeGuard(0)) == []
+
+
+def test_brute_homology_and_chain_maps_share_one_guard(monkeypatch):
+    # both read the one SizeGuard, refuse in one format, and admit
+    # exactly up to its budget
+    X = make_complex(Z4, [3], [])
+    with pytest.raises(GuardExceeded) as brute:
+        brute_homology(X, SizeGuard(4**3 - 1))
+    Y = make_complex(Z4, [1], [])
+    with pytest.raises(GuardExceeded) as maps:
+        oracle.chain_map_module(X, Y, SizeGuard(4**3 - 1))
+    assert str(brute.value) == (
+        f"brute homology needs 4^3 candidates; guard allows {4**3 - 1} (raise the guard to proceed)"
+    )
+    assert str(maps.value) == str(brute.value).replace("brute homology", "chain map enumeration")
+    assert brute.value.required == maps.value.required == 4**3
+    assert brute_homology(X, SizeGuard(4**3)) == [ModuleDescriptor(3, 0)]
+    assert oracle.chain_map_module(X, Y, SizeGuard(4**3)) == ModuleDescriptor(3, 0)
+    # and both check their default budget through that one class
+    seen = []
+    check = SizeGuard.check
+
+    def spy(self, what, base, *exponents):
+        seen.append(what)
+        return check(self, what, base, *exponents)
+
+    monkeypatch.setattr(SizeGuard, "check", spy)
+    brute_homology(X)
+    oracle.chain_map_module(X, Y)
+    assert seen == ["brute homology", "chain map enumeration"]
+
+
+def test_interval_sum_counts_its_cells_before_building(monkeypatch):
+    # four intervals (0, 1) write a 4 x 4 d_1: refused above a cap of 10,
+    # through reconstruct too
+    monkeypatch.setattr(complexes, "MAX_CELLS", 10)
+    dec = reduce.Decomposition(Counter({(0, 1): 4}), Counter(), None)
+    for build in (lambda: complexes.interval_sum(Z4, [(0, 1)] * 4), lambda: reduce.reconstruct(dec, Z4)):
+        with pytest.raises(GuardExceeded, match="16 cells exceed the cap of 10") as info:
+            build()
+        assert info.value.required == 16
 
 
 def test_invalid_input_rejected_by_homology():

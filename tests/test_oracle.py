@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -17,7 +18,7 @@ from chaincell import (
 )
 from chaincell._kernels import enc_add, mat_mul
 from chaincell.complexes import module_from_sizes
-from chaincell.errors import DomainError, GuardExceeded, UsageError
+from chaincell.errors import ChaincellError, DomainError, GuardExceeded, UsageError
 from chaincell.lattice import is_acyclic_over, is_cellular
 from chaincell.ops import direct_sum, direct_sum_all, extension, hom_complex, is_chain_map, shift
 from chaincell.oracle import (
@@ -150,6 +151,28 @@ def test_cross_check_desuspension_routes(p2_ring):
     assert r2.agree and r2.route == "support"
     r3 = cross_check(disk(p2_ring, 2), disk(p2_ring, 1))
     assert r3.agree and r3.route == "acyclic-generator"
+
+
+def test_cross_check_refuses_a_minimal_part_that_fails_its_certificates(monkeypatch):
+    # X = interval(1, 2) >> A = interval(1, 1) holds.  A "minimal part" of X
+    # with its differentials zeroed keeps the ranks and the bottom degree,
+    # and both verdicts read from it would agree on False; the desuspended
+    # route checks the certificates first and refuses it
+    X, A = interval(Z4, 1, 2), interval(Z4, 1, 1)
+    assert cross_check(X, A).lattice_verdict is True
+    real = oracle.minimize
+
+    def wrong_minimize(Z):
+        result = real(Z)
+        if Z is not X:
+            return result
+        zeroed = [linalg.zeros(Z4, d.rows, d.cols) for d in result.minimal.diffs]
+        return dataclasses.replace(result, minimal=make_complex(Z4, result.minimal.ranks, zeroed))
+
+    monkeypatch.setattr(oracle, "minimize", wrong_minimize)
+    assert wrong_minimize(X).bottom == real(X).bottom
+    with pytest.raises(ChaincellError, match="does not conjugate back to its input"):
+        cross_check(X, A)
 
 
 @pytest.mark.parametrize(
